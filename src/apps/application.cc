@@ -58,18 +58,8 @@ KnowledgeGraphApplication::RunForQuery(const Fact& goal_pattern,
 
 std::vector<Fact> KnowledgeGraphApplication::Query(
     const Fact& pattern) const {
-  std::vector<Fact> matches;
-  if (chase_ == nullptr) return matches;
-  for (FactId id : chase_->graph.FactsOf(pattern.predicate)) {
-    const Fact& fact = chase_->graph.node(id).fact;
-    if (fact.arity() != pattern.arity()) continue;
-    bool ok = true;
-    for (int i = 0; i < pattern.arity() && ok; ++i) {
-      if (!pattern.args[i].is_null()) ok = pattern.args[i] == fact.args[i];
-    }
-    if (ok) matches.push_back(fact);
-  }
-  return matches;
+  if (chase_ == nullptr) return {};
+  return chase_->Match(pattern);
 }
 
 Result<std::string> KnowledgeGraphApplication::Explain(

@@ -425,11 +425,11 @@ class ChaseRun {
       metrics_->counter("chase.index.predicates")
           ->Increment(static_cast<int64_t>(result_.graph.symbols().size()));
       metrics_->counter("chase.index.position_keys")
-          ->Increment(store_.position_keys());
+          ->Increment(store_.position_index().position_keys());
       metrics_->counter("chase.index.position_entries")
-          ->Increment(store_.position_entries());
+          ->Increment(store_.position_index().position_entries());
       metrics_->counter("chase.index.collision_groups")
-          ->Increment(store_.collision_groups());
+          ->Increment(store_.position_index().collision_groups());
       // Join/trigger-graph attribution, exported from the node graph's
       // totals. Join choices are counted once per non-skipped rule
       // execution on the driving thread and the skip test is join-mode
@@ -473,6 +473,10 @@ class ChaseRun {
       }
       result_.metrics = metrics_->Snapshot();
     }
+    // The position index outlives the run for ChaseResult::Match; the
+    // segment chains die with store_.
+    result_.position_index =
+        std::make_shared<const PositionIndex>(store_.TakePositionIndex());
     return std::move(result_);
   }
 
@@ -1710,6 +1714,38 @@ std::vector<Fact> ChaseResult::FactsOf(const std::string& predicate) const {
     facts.push_back(graph.node(id).fact);
   }
   return facts;
+}
+
+std::vector<Fact> ChaseResult::Match(const Fact& pattern) const {
+  std::vector<Fact> answers;
+  const Symbol predicate = graph.symbols().Lookup(pattern.predicate);
+  if (predicate == kInvalidSymbol) return answers;
+  const std::vector<FactId>* candidates = &graph.FactsOf(predicate);
+  if (position_index != nullptr &&
+      position_index->indexed_facts() == graph.size()) {
+    for (int pos = 0; pos < pattern.arity(); ++pos) {
+      if (pattern.args[pos].is_null()) continue;
+      const std::vector<FactId>* bucket =
+          position_index->Find(predicate, pos, pattern.args[pos]);
+      if (bucket == nullptr) return answers;  // no fact can match
+      if (bucket->size() < candidates->size()) candidates = bucket;
+    }
+  }
+  // Buckets may merge predicates, positions and values (PosKey
+  // collisions), so every candidate is checked in full.
+  for (FactId id : *candidates) {
+    const Fact& fact = graph.node(id).fact;
+    if (fact.pred_symbol != predicate || fact.arity() != pattern.arity()) {
+      continue;
+    }
+    bool ok = true;
+    for (int pos = 0; pos < pattern.arity() && ok; ++pos) {
+      const Value& want = pattern.args[pos];
+      if (!want.is_null()) ok = want == fact.args[pos];
+    }
+    if (ok) answers.push_back(fact);
+  }
+  return answers;
 }
 
 ChaseEngine::ChaseEngine(ChaseConfig config) : config_(config) {

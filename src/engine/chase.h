@@ -20,6 +20,7 @@ namespace templex {
 class AggregateState;  // engine/aggregate_state.h
 class Fs;              // common/fs.h
 class MemoryBudget;    // common/memory.h
+class PositionIndex;   // engine/position_index.h
 class StallWatchdog;   // common/watchdog.h
 class ThreadPool;      // common/thread_pool.h
 
@@ -233,12 +234,26 @@ struct ChaseResult {
   // chase.join.* counters and travels through checkpoints so resumed runs
   // report the same totals.
   NodeGraph node_graph;
+  // The run's (predicate, position, value) index over `graph`, handed over
+  // by the chase when it returns (Run, Extend, --resume and the QSQR
+  // restricted chase alike) so Match answers bound lookups without a scan.
+  // Immutable and shared on copy; null for hand-built results.
+  std::shared_ptr<const PositionIndex> position_index;
 
   // Id of a fact in the saturated instance, or NotFound.
   Result<FactId> Find(const Fact& fact) const;
 
   // All facts of a predicate (extensional and derived).
   std::vector<Fact> FactsOf(const std::string& predicate) const;
+
+  // All facts matching `pattern`: same predicate and arity, and equal to
+  // every non-Null argument (Null arguments are wildcards; Int(2) matches
+  // Double(2.0), as Value::operator== does). Ascending by fact id. A
+  // pattern with a bound argument costs the smallest position-index bucket
+  // among its bound positions; a pattern without one costs the facts of
+  // its predicate. Falls back to that scan when `position_index` is null or
+  // does not cover the whole graph.
+  std::vector<Fact> Match(const Fact& pattern) const;
 };
 
 // The chase procedure (§3 of the paper): saturates the database under the

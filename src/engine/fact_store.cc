@@ -4,37 +4,6 @@
 
 namespace templex {
 
-namespace {
-
-// Fixed per-bucket charge (PosBucket fields + one hash-table slot): a
-// constant keeps the accounted footprint a pure function of indexed
-// content, independent of hash-table load factor.
-constexpr int64_t kPosBucketBytes = 96;
-
-}  // namespace
-
-void FactStore::OnNewFact(FactId id) {
-  const Fact& fact = graph_->node(id).fact;
-  for (int pos = 0; pos < fact.arity(); ++pos) {
-    const uint64_t value_hash = fact.args[pos].Hash();
-    PosBucket& bucket =
-        by_position_[PosKey(fact.pred_symbol, pos, value_hash)];
-    index_bytes_ += static_cast<int64_t>(sizeof(FactId));
-    if (bucket.ids.empty()) {
-      index_bytes_ += kPosBucketBytes;
-      bucket.predicate = fact.pred_symbol;
-      bucket.position = pos;
-      bucket.value_hash = value_hash;
-    } else if (!bucket.collided &&
-               (bucket.predicate != fact.pred_symbol ||
-                bucket.position != pos || bucket.value_hash != value_hash)) {
-      bucket.collided = true;
-      ++collision_groups_;
-    }
-    bucket.ids.push_back(id);
-  }
-}
-
 void FactStore::SealRound(FactId limit, NodeGraph* node_graph, int64_t round) {
   if (limit <= sealed_limit_) return;
   const int num_symbols = graph_->symbols().size();
@@ -112,14 +81,6 @@ void FactStore::SealRound(FactId limit, NodeGraph* node_graph, int64_t round) {
   sealed_limit_ = limit;
 }
 
-int64_t FactStore::position_entries() const {
-  int64_t total = 0;
-  for (const auto& [key, bucket] : by_position_) {
-    total += static_cast<int64_t>(bucket.ids.size());
-  }
-  return total;
-}
-
 const std::vector<FactId>& FactStore::CandidatesFor(
     const Atom& atom, const Binding& binding) const {
   const Symbol predicate = graph_->symbols().Lookup(atom.predicate);
@@ -135,11 +96,9 @@ const std::vector<FactId>& FactStore::CandidatesFor(
       if (!v.has_value()) continue;
       bound_value = *v;
     }
-    auto it = by_position_.find(PosKey(predicate, pos, bound_value.Hash()));
-    if (it == by_position_.end()) return empty_;  // no fact can match
-    if (best == nullptr || it->second.ids.size() < best->size()) {
-      best = &it->second.ids;
-    }
+    const std::vector<FactId>* ids = index_.Find(predicate, pos, bound_value);
+    if (ids == nullptr) return empty_;  // no fact can match
+    if (best == nullptr || ids->size() < best->size()) best = ids;
   }
   if (best != nullptr) return *best;
   return graph_->FactsOf(predicate);
@@ -156,11 +115,9 @@ const std::vector<FactId>& FactStore::CandidatesFor(
     // earlier body atom first bound them.
     if (!t.bound_at_entry) continue;
     const Value* value = t.is_constant ? &t.constant : &slots[t.slot];
-    auto it = by_position_.find(PosKey(atom.predicate, pos, value->Hash()));
-    if (it == by_position_.end()) return empty_;  // no fact can match
-    if (best == nullptr || it->second.ids.size() < best->size()) {
-      best = &it->second.ids;
-    }
+    const std::vector<FactId>* ids = index_.Find(atom.predicate, pos, *value);
+    if (ids == nullptr) return empty_;  // no fact can match
+    if (best == nullptr || ids->size() < best->size()) best = ids;
   }
   if (best != nullptr) return *best;
   return graph_->FactsOf(atom.predicate);

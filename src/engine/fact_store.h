@@ -3,15 +3,14 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/hash.h"
 #include "datalog/atom.h"
 #include "datalog/binding.h"
 #include "engine/chase_graph.h"
 #include "engine/fact.h"
 #include "engine/node_graph.h"
+#include "engine/position_index.h"
 #include "engine/rule_plan.h"
 #include "engine/segment.h"
 
@@ -20,18 +19,12 @@ namespace templex {
 // Secondary index layer over a ChaseGraph used by the body matcher: facts
 // per (predicate, argument position, value) so joins can scan only
 // candidates agreeing with already-bound variables. Per-predicate lists
-// live in the graph itself (ChaseGraph::FactsOf); this class only owns the
-// position index and (in merge-join mode) the per-predicate columnar
-// segment chains the merge path enumerates instead of probing.
-//
-// The position index is keyed by a packed 64-bit hash of
-// (pred_symbol, position, value hash) — no string ever touches a probe.
-// Hash collisions can merge two value groups into one candidate list;
-// that is sound (and preserves ascending-id enumeration order) because
-// every candidate is still verified by the full atom match. Collisions
-// ARE counted (chase.index.collision_groups): each bucket remembers the
-// (predicate, position, value-hash) triple of its first fact and flags the
-// bucket the first time a fact with a different triple lands in it.
+// live in the graph itself (ChaseGraph::FactsOf); this class owns the
+// position index (engine/position_index.h) while a run builds it, and (in
+// merge-join mode) the per-predicate columnar segment chains the merge path
+// enumerates instead of probing. At the end of a run the chase takes the
+// position index into ChaseResult for point lookups; the chains die with
+// the run.
 class FactStore {
  public:
   explicit FactStore(const ChaseGraph* graph) : graph_(graph) {}
@@ -42,7 +35,7 @@ class FactStore {
   // Registers a newly inserted fact in the position index. Must be called
   // exactly once per ChaseGraph node, in id order, after the graph assigned
   // the fact's pred_symbol.
-  void OnNewFact(FactId id);
+  void OnNewFact(FactId id) { index_.Add(id, graph_->node(id).fact); }
 
   // All facts of a predicate, ascending by id (delegates to the graph's
   // per-predicate index).
@@ -126,65 +119,34 @@ class FactStore {
     return &chains_[static_cast<size_t>(predicate)];
   }
 
-  // Index shape, exported as chase.index.* counters at the end of a run.
-  int64_t position_keys() const {
-    return static_cast<int64_t>(by_position_.size());
-  }
-  int64_t position_entries() const;
-  int64_t collision_groups() const { return collision_groups_; }
+  const PositionIndex& position_index() const { return index_; }
+
+  // Hands the position index over (ChaseResult::position_index) and leaves
+  // this store without one: call only once the run is done with the store.
+  PositionIndex TakePositionIndex() { return std::move(index_); }
 
   // Content-based footprint of the position index plus the segment chains
-  // (common/memory.h accounting; index entries and bucket overhead are
-  // charged at fixed per-element rates, never hash-table capacities).
+  // (common/memory.h accounting).
   int64_t approx_bytes() const {
-    int64_t total = index_bytes_;
+    int64_t total = index_.approx_bytes();
     for (const SegmentChain& chain : chains_) total += chain.approx_bytes();
     return total;
   }
 
-  // Narrows PosKey to its low bits so tests can force collisions without
-  // crafting hash-colliding values. Production keeps the full 64 bits.
   void set_position_key_mask_for_testing(uint64_t mask) {
-    poskey_mask_ = mask;
+    index_.set_position_key_mask_for_testing(mask);
   }
 
  private:
-  // One position-index bucket: the candidate ids plus the identity of the
-  // first (pred, pos, value-hash) triple that landed here, so later facts
-  // can detect they were merged in by a PosKey collision. Distinct values
-  // with EQUAL hashes remain indistinguishable — undetected but harmless,
-  // the full atom match filters them.
-  struct PosBucket {
-    std::vector<FactId> ids;
-    Symbol predicate = kInvalidSymbol;
-    int position = -1;
-    uint64_t value_hash = 0;
-    bool collided = false;
-  };
-
-  // Packed probe key. Exact (pred, position) packing is not required —
-  // downstream verification makes any collision harmless — but pred and
-  // position are small, so this is near-injective in practice.
-  uint64_t PosKey(Symbol predicate, int position, uint64_t value_hash) const {
-    return HashCombine(
-               (static_cast<uint64_t>(static_cast<uint32_t>(predicate)) << 8) ^
-                   static_cast<uint64_t>(static_cast<uint32_t>(position)),
-               value_hash) &
-           poskey_mask_;
-  }
-
   const ChaseGraph* graph_;
-  std::unordered_map<uint64_t, PosBucket> by_position_;
+  PositionIndex index_;
   std::vector<FactId> empty_;
-  int64_t collision_groups_ = 0;
-  uint64_t poskey_mask_ = ~uint64_t{0};
 
   bool segments_enabled_ = false;
   std::vector<bool> segment_predicates_;  // empty: build for every predicate
   int64_t segment_hot_min_facts_ = 0;  // <= 0: build on first contact
   FactId sealed_limit_ = 0;
   std::vector<SegmentChain> chains_;  // indexed by predicate symbol
-  int64_t index_bytes_ = 0;  // position-index footprint (OnNewFact)
 };
 
 // Returns true and extends `binding` iff `fact` matches `atom` under the

@@ -705,25 +705,6 @@ class RelevancePass {
   bool overflow_ = false;
 };
 
-bool MatchesPattern(const Fact& fact, const Fact& pattern) {
-  if (fact.predicate != pattern.predicate) return false;
-  if (fact.args.size() != pattern.args.size()) return false;
-  for (size_t i = 0; i < pattern.args.size(); ++i) {
-    if (pattern.args[i].is_null()) continue;
-    if (!(fact.args[i] == pattern.args[i])) return false;
-  }
-  return true;
-}
-
-std::vector<Fact> CollectAnswers(const ChaseResult& chase,
-                                 const Fact& pattern) {
-  std::vector<Fact> answers;
-  for (const Fact& fact : chase.FactsOf(pattern.predicate)) {
-    if (MatchesPattern(fact, pattern)) answers.push_back(fact);
-  }
-  return answers;
-}
-
 }  // namespace
 
 Status ValidateGoalPattern(const Program& program,
@@ -813,7 +794,7 @@ Result<QueryResult> QueryEvaluator::Evaluate(const Program& program,
     TEMPLEX_RETURN_IF_ERROR(chase.status());
     QueryResult full;
     full.chase = std::move(chase.value());
-    full.answers = CollectAnswers(full.chase, goal_pattern);
+    full.answers = full.chase.Match(goal_pattern);
     full.stats = result.stats;
     full.stats.query_driven = false;
     full.stats.fallback_reason = std::move(reason);
@@ -866,7 +847,7 @@ Result<QueryResult> QueryEvaluator::Evaluate(const Program& program,
     TEMPLEX_RETURN_IF_ERROR(chase.status());
     result.chase = std::move(chase.value());
   }
-  result.answers = CollectAnswers(result.chase, goal_pattern);
+  result.answers = result.chase.Match(goal_pattern);
   result.stats.query_driven = true;
   result.stats.answers = static_cast<int64_t>(result.answers.size());
   return finish(std::move(result));

@@ -146,14 +146,14 @@ TEST_F(FactStoreTest, CompiledPlanUnknownPredicateHasNoCandidates) {
 }
 
 TEST_F(FactStoreTest, PositionIndexCountersGrowWithFacts) {
-  EXPECT_EQ(store_.position_keys(), 0);
-  EXPECT_EQ(store_.position_entries(), 0);
+  EXPECT_EQ(store_.position_index().position_keys(), 0);
+  EXPECT_EQ(store_.position_index().position_entries(), 0);
   Add({"Own", {Value::String("A"), Value::String("B"), Value::Double(0.6)}});
   Add({"Own", {Value::String("A"), Value::String("C"), Value::Double(0.7)}});
   // 2 facts x 3 positions = 6 index entries; "A" at position 0 shares one
   // key, so 5 distinct keys (absent adversarial hash collisions).
-  EXPECT_EQ(store_.position_entries(), 6);
-  EXPECT_EQ(store_.position_keys(), 5);
+  EXPECT_EQ(store_.position_index().position_entries(), 6);
+  EXPECT_EQ(store_.position_index().position_keys(), 5);
 }
 
 TEST_F(FactStoreTest, CollisionGroupsCountForcedPosKeyCollisions) {
@@ -161,7 +161,7 @@ TEST_F(FactStoreTest, CollisionGroupsCountForcedPosKeyCollisions) {
   // triples scattered over 16 buckets, distinct triples are forced to share
   // buckets. Each shared bucket is flagged exactly once.
   store_.set_position_key_mask_for_testing(0xF);
-  EXPECT_EQ(store_.collision_groups(), 0);
+  EXPECT_EQ(store_.position_index().collision_groups(), 0);
   for (int i = 0; i < 32; ++i) {
     Add({"Own",
          {Value::String("A" + std::to_string(i)), Value::String("B"),
@@ -170,8 +170,9 @@ TEST_F(FactStoreTest, CollisionGroupsCountForcedPosKeyCollisions) {
   // 32 facts x 3 positions = 96 triples into <= 16 buckets: by pigeonhole
   // at least one bucket holds two distinct triples, and a flagged bucket
   // counts once no matter how many more land in it.
-  EXPECT_GT(store_.collision_groups(), 0);
-  EXPECT_LE(store_.collision_groups(), store_.position_keys());
+  EXPECT_GT(store_.position_index().collision_groups(), 0);
+  EXPECT_LE(store_.position_index().collision_groups(),
+            store_.position_index().position_keys());
 
   // Collided buckets stay sound: the candidate list is a superset that the
   // matcher verifies, so a bound probe still finds its fact.
@@ -193,7 +194,7 @@ TEST_F(FactStoreTest, NoCollisionsWithFullWidthKeys) {
          {Value::String("A" + std::to_string(i)), Value::String("B"),
           Value::Double(i / 10.0)}});
   }
-  EXPECT_EQ(store_.collision_groups(), 0);
+  EXPECT_EQ(store_.position_index().collision_groups(), 0);
 }
 
 TEST_F(FactStoreTest, SealRoundBuildsChainsAndRecordsSegmentNodes) {

@@ -51,11 +51,42 @@ std::shared_ptr<const KnowledgeGraphApplication> BuildApp(
   return shared;
 }
 
-// What templex_cli --query 'Control(_, _)' prints: one ToString per answer.
-std::string ExpectedQueryBody(const KnowledgeGraphApplication& app) {
+// One /query goal: the request body and the pattern it parses to.
+struct QueryGoal {
+  std::string body;
+  Fact pattern;
+};
+
+// The free goal plus bound ones, which the served chase answers from its
+// position index: a controller, a controlled company, and a constant absent
+// from the graph.
+std::vector<QueryGoal> QueryGoals() {
+  const Value any = Value::Null();
+  return {{"Control(_, _)", Fact("Control", {any, any})},
+          {"Control(\"Alfa\", _)", Fact("Control", {S("Alfa"), any})},
+          {"Control(\"Bravo\", _)", Fact("Control", {S("Bravo"), any})},
+          {"Control(_, \"Charlie\")", Fact("Control", {any, S("Charlie")})},
+          {"Control(\"Zulu\", _)", Fact("Control", {S("Zulu"), any})}};
+}
+
+// What templex_cli --query prints for `pattern` (one ToString per answer),
+// from a plain scan of the predicate's facts in the app's chase — a
+// reference independent of Query and the position index it probes.
+std::string ExpectedQueryBody(
+    const KnowledgeGraphApplication& app,
+    const Fact& pattern = Fact("Control", {Value::Null(), Value::Null()})) {
+  const ChaseGraph& graph = app.chase().graph;
   std::string out;
-  for (const Fact& fact :
-       app.Query(Fact("Control", {Value::Null(), Value::Null()}))) {
+  for (FactId id : graph.FactsOf(pattern.predicate)) {
+    const Fact& fact = graph.node(id).fact;
+    if (fact.arity() != pattern.arity()) continue;
+    bool ok = true;
+    for (int i = 0; i < pattern.arity(); ++i) {
+      if (!pattern.args[i].is_null() && !(pattern.args[i] == fact.args[i])) {
+        ok = false;
+      }
+    }
+    if (!ok) continue;
     out += fact.ToString();
     out += "\n";
   }
@@ -289,14 +320,15 @@ class GatedRebuild {
 TEST(ServerTest, OverloadBurstShedsExplicitlyAndCompletionsStayExact) {
   // The acceptance-criteria chaos test: a burst past the caps yields ONLY
   // shed responses (429/503, each with Retry-After) and completed
-  // responses byte-identical to the CLI's answer — no hangs, no torn
-  // responses — at 1, 2, and 8 workers. Phase one is fully deterministic:
-  // a gated reload pins active_ at max_inflight=1, so every burst
-  // connection must shed from the accept thread. Phase two releases the
-  // gate and bursts again: outcomes may mix (racy by design), but every
-  // response must be exact-or-shed and at least one must complete.
+  // responses byte-identical to the reference scan — free and bound goals,
+  // no hangs, no torn responses — at 1, 2, and 8 workers. Phase one is
+  // fully deterministic: a gated reload pins active_ at max_inflight=1, so
+  // every burst connection must shed from the accept thread. Phase two
+  // releases the gate and bursts again: outcomes may mix (racy by design),
+  // but every response must be exact-or-shed and at least one must
+  // complete. Phase three sends each goal alone.
   auto app = BuildApp();
-  const std::string expected = ExpectedQueryBody(*app);
+  const std::vector<QueryGoal> goals = QueryGoals();
   for (int workers : {1, 2, 8}) {
     InMemoryTransport transport;
     SnapshotRegistry snapshots;
@@ -346,32 +378,39 @@ TEST(ServerTest, OverloadBurstShedsExplicitlyAndCompletionsStayExact) {
     EXPECT_EQ(StatusOf(reload_response.value()), 200);
     // The client observes the close a beat before the server retires the
     // connection; wait for the slot to actually free.
-    for (int spin = 0; spin < 10000 && server.active_connections() > 0;
-         ++spin) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    auto wait_slot_free = [&server] {
+      for (int spin = 0; spin < 10000 && server.active_connections() > 0;
+           ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    wait_slot_free();
     ASSERT_EQ(server.active_connections(), 0);
 
-    // Phase two: contended burst with the wall still at 1. Outcomes race,
-    // but the contract holds per response, and the first accept (with no
-    // one in flight) must complete.
+    // Phase two: contended burst with the wall still at 1, cycling through
+    // free and bound goals. Outcomes race, but the contract holds per
+    // response, and the first accept (with no one in flight) must complete.
     std::vector<InMemoryClient> contended;
     for (int i = 0; i < 8; ++i) {
       contended.push_back(transport.Connect());
-      contended.back().Send(PostRequest("/query", "Control(_, _)"));
+      contended.back().Send(
+          PostRequest("/query", goals[i % goals.size()].body));
       contended.back().CloseSend();
     }
     int completed = 0;
-    for (InMemoryClient& client : contended) {
+    for (size_t i = 0; i < contended.size(); ++i) {
+      const QueryGoal& goal = goals[i % goals.size()];
       Result<std::string> response =
-          client.WaitForClose(Deadline::AfterMillis(10000));
+          contended[i].WaitForClose(Deadline::AfterMillis(10000));
       ASSERT_TRUE(response.ok())
           << "hung response at " << workers << " workers";
       const int status = StatusOf(response.value());
       if (status == 200) {
         ++completed;
-        EXPECT_EQ(BodyOf(response.value()), expected)
-            << "torn/divergent answer at " << workers << " workers";
+        EXPECT_EQ(BodyOf(response.value()),
+                  ExpectedQueryBody(*app, goal.pattern))
+            << "torn/divergent answer to " << goal.body << " at " << workers
+            << " workers";
       } else {
         ASSERT_TRUE(status == 429 || status == 503)
             << "unexpected status " << status;
@@ -380,6 +419,18 @@ TEST(ServerTest, OverloadBurstShedsExplicitlyAndCompletionsStayExact) {
     }
     EXPECT_GE(completed, 1) << "nothing completed at " << workers
                             << " workers";
+
+    // Phase three: every goal once more, one at a time, so each bound goal
+    // completes at every worker count.
+    for (const QueryGoal& goal : goals) {
+      wait_slot_free();
+      const std::string response =
+          RoundTrip(transport, PostRequest("/query", goal.body));
+      ASSERT_EQ(StatusOf(response), 200)
+          << goal.body << " at " << workers << " workers";
+      EXPECT_EQ(BodyOf(response), ExpectedQueryBody(*app, goal.pattern))
+          << goal.body << " at " << workers << " workers";
+    }
     EXPECT_TRUE(server.WaitDrained().ok());
   }
 }
@@ -553,50 +604,46 @@ TEST(ServerTest, DrainDeadlineCancelsStragglersAndNamesThem) {
 TEST(ServerTest, WarmStartFromCheckpointServesIdenticalAnswers) {
   // First life: a checkpointed chase runs to fixpoint (its final commit is
   // the warm-start artifact). Second life: resume from the same MemFs dir
-  // and serve — answers must be byte-identical to the first life's.
+  // and serve — answers to free and bound goals must be byte-identical to
+  // the first life's.
   MemFs fs;
   ChaseConfig first_config;
   first_config.checkpoint.fs = &fs;
   first_config.checkpoint.dir = "/ckpt";
   auto first_app = BuildApp(first_config);
+  const std::vector<QueryGoal> goals = QueryGoals();
 
-  std::string first_answer;
-  {
+  // Every goal's 200 body from one life, checked against the reference
+  // scan over that life's chase.
+  auto serve_all = [&](std::shared_ptr<const KnowledgeGraphApplication> app) {
     InMemoryTransport transport;
     SnapshotRegistry snapshots;
-    snapshots.Publish(first_app);
+    snapshots.Publish(app);
     ServerOptions options;
     options.num_workers = 2;
     TemplexServer server(&transport, &snapshots, options);
     server.Start();
-    const std::string response =
-        RoundTrip(transport, PostRequest("/query", "Control(_, _)"));
-    EXPECT_EQ(StatusOf(response), 200);
-    first_answer = BodyOf(response);
+    std::vector<std::string> bodies;
+    for (const QueryGoal& goal : goals) {
+      const std::string response =
+          RoundTrip(transport, PostRequest("/query", goal.body));
+      EXPECT_EQ(StatusOf(response), 200) << goal.body;
+      EXPECT_EQ(BodyOf(response), ExpectedQueryBody(*app, goal.pattern))
+          << goal.body;
+      bodies.push_back(BodyOf(response));
+    }
     EXPECT_TRUE(server.WaitDrained().ok());
-  }
+    return bodies;
+  };
+  const std::vector<std::string> first_answers = serve_all(first_app);
 
   ChaseConfig resume_config;
   resume_config.checkpoint.fs = &fs;
   resume_config.checkpoint.dir = "/ckpt";
   resume_config.checkpoint.resume = true;
-  auto resumed_app = BuildApp(resume_config);
-  {
-    InMemoryTransport transport;
-    SnapshotRegistry snapshots;
-    snapshots.Publish(resumed_app);
-    ServerOptions options;
-    options.num_workers = 2;
-    TemplexServer server(&transport, &snapshots, options);
-    server.Start();
-    const std::string response =
-        RoundTrip(transport, PostRequest("/query", "Control(_, _)"));
-    EXPECT_EQ(StatusOf(response), 200);
-    EXPECT_EQ(BodyOf(response), first_answer);
-    EXPECT_TRUE(server.WaitDrained().ok());
-  }
-  EXPECT_EQ(first_answer, ExpectedQueryBody(*first_app));
-  EXPECT_FALSE(first_answer.empty());
+  EXPECT_EQ(serve_all(BuildApp(resume_config)), first_answers);
+  EXPECT_FALSE(first_answers[0].empty());
+  EXPECT_FALSE(first_answers[1].empty());  // Control("Alfa", _)
 }
 
 TEST(ServerTest, ReloadPublishesTheNextEpoch) {
@@ -619,6 +666,16 @@ TEST(ServerTest, ReloadPublishesTheNextEpoch) {
   EXPECT_EQ(StatusOf(response), 200);
   EXPECT_EQ(BodyOf(response), "epoch 2\n");
   EXPECT_EQ(snapshots.epoch(), 2);
+  // The next epoch serves free and bound goals from its own chase.
+  std::shared_ptr<const KnowledgeGraphApplication> current =
+      snapshots.Current();
+  for (const QueryGoal& goal : QueryGoals()) {
+    const std::string answer =
+        RoundTrip(transport, PostRequest("/query", goal.body));
+    EXPECT_EQ(StatusOf(answer), 200) << goal.body;
+    EXPECT_EQ(BodyOf(answer), ExpectedQueryBody(*current, goal.pattern))
+        << goal.body;
+  }
   EXPECT_TRUE(server.WaitDrained().ok());
 }
 
