@@ -18,7 +18,6 @@
 #include "engine/proof.h"
 #include "engine/query.h"
 #include "engine/rule_plan.h"
-#include "engine/segment.h"
 
 namespace {
 
@@ -335,19 +334,15 @@ BENCHMARK(BM_ParallelChaseMultiRule)
 
 void BM_MatcherEnumeration(benchmark::State& state) {
   // The match enumerator alone (no head application): a 3-atom join over a
-  // dense binary relation, sourced the way the chase sources it — sealed
-  // columnar segments with merge-join on the bound positions (or the
-  // legacy hash probe under TEMPLEX_JOIN_MODE=probe, which the CI bench
-  // matrix exercises). Sensitive to the per-candidate binding cost and to
-  // the equal-run binary search.
+  // dense binary relation, sourced the way the chase sources it — the
+  // position-index probe on each atom's bound positions. Sensitive to the
+  // per-candidate binding cost and to the index lookup.
   const Rule rule =
       ParseRule("j: Edge(x, y), Edge(y, z), Edge(z, w) -> Quad(x, w).")
           .value();
   const int n = static_cast<int>(state.range(0));
   ChaseGraph graph;
   FactStore store(&graph);
-  const JoinMode mode = JoinModeFromEnv(JoinMode::kMerge);
-  if (mode == JoinMode::kMerge) store.EnableSegments();
   for (int i = 0; i < n; ++i) {
     for (int d = 1; d <= 3; ++d) {
       ChaseNode node;
@@ -356,18 +351,14 @@ void BM_MatcherEnumeration(benchmark::State& state) {
       if (inserted) store.OnNewFact(id);
     }
   }
-  const FactId limit = graph.size();
-  store.SealRound(limit, nullptr, 0);
   RulePlan plan = MakeRulePlan(rule, 0);
   CompileMatchPlan(&plan, graph.symbols());
-  const std::vector<AtomJoin> joins =
-      ComputeAtomJoins(plan, store, mode, limit);
   MatchWindow window;
-  window.limit = limit;
+  window.limit = graph.size();
   int64_t matches = 0;
   for (auto _ : state) {
     matches = 0;
-    auto status = EnumerateMatches(plan, store, graph, window, &joins,
+    auto status = EnumerateMatches(plan, store, graph, window,
                                    [&matches](const BodyMatch&) {
                                      ++matches;
                                      return Status::OK();
@@ -376,52 +367,8 @@ void BM_MatcherEnumeration(benchmark::State& state) {
     benchmark::DoNotOptimize(matches);
   }
   state.SetItemsProcessed(state.iterations() * matches);
-  state.counters["merge_atoms"] = 0;
-  for (const AtomJoin& join : joins) {
-    if (join.merge) state.counters["merge_atoms"] += 1;
-  }
 }
 BENCHMARK(BM_MatcherEnumeration)->Arg(32)->Arg(128);
-
-void BM_SegmentRetain(benchmark::State& state) {
-  // The node-level retain (RetainNewTuples): dedup n candidate tuples —
-  // half already present — against a sealed segment of n wide rows whose
-  // long shared prefixes exercise the prefix-caching merge scan.
-  const int n = static_cast<int>(state.range(0));
-  constexpr int kArity = 4;
-  std::vector<FactId> ids;
-  std::vector<std::vector<Value>> columns(kArity);
-  Rng rng(19);
-  auto tuple_at = [](int i) {
-    // Leading columns change slowly: long shared prefixes.
-    return std::vector<Value>{Value::Int(i / 64), Value::Int(i / 8),
-                              Value::Int(i), Value::String("tag")};
-  };
-  for (int i = 0; i < n; ++i) {
-    ids.push_back(i);
-    const std::vector<Value> t = tuple_at(i);
-    for (int pos = 0; pos < kArity; ++pos) columns[pos].push_back(t[pos]);
-  }
-  DeltaSegment seg(/*predicate=*/0, kArity, std::move(ids),
-                   std::move(columns));
-  const std::vector<uint32_t> lex = LexOrder(seg);
-  std::vector<std::vector<Value>> candidates;
-  for (int i = 0; i < n; ++i) {
-    // Even: a duplicate of some segment row. Odd: a fresh tuple.
-    candidates.push_back(i % 2 == 0
-                             ? tuple_at(static_cast<int>(rng.NextInt(0, n - 1)))
-                             : tuple_at(n + i));
-  }
-  size_t kept = 0;
-  for (auto _ : state) {
-    const std::vector<uint32_t> order = SortTuples(candidates);
-    kept = RetainNewTuples(seg, lex, candidates, order).size();
-    benchmark::DoNotOptimize(kept);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.counters["kept"] = static_cast<double>(kept);
-}
-BENCHMARK(BM_SegmentRetain)->Arg(512)->Arg(4096);
 
 void BM_ProofExtraction(benchmark::State& state) {
   Program program = CompanyControlProgram();

@@ -68,7 +68,7 @@ class Value {
   // Content-based footprint (common/memory.h accounting): the inline
   // representation plus string length — never allocator capacities — so two
   // runs holding equal values account equal bytes regardless of thread
-  // count, join mode, or checkpoint resume.
+  // count or checkpoint resume.
   int64_t ApproxBytes() const {
     return static_cast<int64_t>(sizeof(Value)) +
            (is_string() ? static_cast<int64_t>(string_value().size()) : 0);

@@ -112,8 +112,6 @@ class ChaseRun {
         watchdog_(config.watchdog),
         store_(&result_.graph),
         aggregates_(static_cast<int>(program.rules().size())) {
-    if (config_.join_mode == JoinMode::kMerge) store_.EnableSegments();
-    store_.SetSegmentHotMinFacts(config_.segment_hot_min_facts);
     if (metrics_ != nullptr && budget_ != nullptr) {
       memory_bytes_gauge_ = metrics_->gauge("chase.memory.bytes");
       memory_peak_gauge_ = metrics_->gauge("chase.memory.peak_bytes");
@@ -386,21 +384,6 @@ class ChaseRun {
     for (RulePlan& plan : plans_) {
       CompileMatchPlan(&plan, &result_.graph.symbols());
     }
-    // Only predicates in positive rule bodies are ever merge-joined;
-    // restrict segment building to them so head-only outputs don't pay
-    // for columnar copies nobody reads. (Negation and constraints go
-    // through the hash index.)
-    std::vector<bool> body_preds(
-        static_cast<size_t>(result_.graph.symbols().size()), false);
-    for (const RulePlan& plan : plans_) {
-      for (const AtomPlan& atom : plan.body) {
-        if (atom.predicate >= 0 &&
-            static_cast<size_t>(atom.predicate) < body_preds.size()) {
-          body_preds[static_cast<size_t>(atom.predicate)] = true;
-        }
-      }
-    }
-    store_.SetSegmentPredicates(std::move(body_preds));
   }
 
   Result<ChaseResult> Finalize() {
@@ -430,16 +413,11 @@ class ChaseRun {
           ->Increment(store_.position_index().position_entries());
       metrics_->counter("chase.index.collision_groups")
           ->Increment(store_.position_index().collision_groups());
-      // Join/trigger-graph attribution, exported from the node graph's
-      // totals. Join choices are counted once per non-skipped rule
-      // execution on the driving thread and the skip test is join-mode
-      // independent, so all four are byte-identical across thread counts —
-      // and resume-stable, because checkpoints carry the execution records
-      // the totals are rebuilt from.
-      metrics_->counter("chase.join.merge")
-          ->Increment(result_.node_graph.merge_choices());
-      metrics_->counter("chase.join.probe")
-          ->Increment(result_.node_graph.probe_choices());
+      // Trigger-graph attribution, exported from the node graph's totals.
+      // Executions are recorded once per (rule, round) on the driving
+      // thread, so both are byte-identical across thread counts — and
+      // resume-stable, because checkpoints carry the execution records the
+      // totals are rebuilt from.
       metrics_->counter("chase.join.skipped_rules")
           ->Increment(result_.node_graph.skipped_rules());
       metrics_->counter("chase.join.executed_rules")
@@ -473,8 +451,7 @@ class ChaseRun {
       }
       result_.metrics = metrics_->Snapshot();
     }
-    // The position index outlives the run for ChaseResult::Match; the
-    // segment chains die with store_.
+    // The position index outlives the run for ChaseResult::Match.
     result_.position_index =
         std::make_shared<const PositionIndex>(store_.TakePositionIndex());
     return std::move(result_);
@@ -492,14 +469,13 @@ class ChaseRun {
   };
 
   // Everything the round decided about one rule before any matching ran:
-  // the passes worth running (pivot windows holding at least one row), the
-  // per-atom join strategies, and the RuleExecution record destined for
-  // the node graph. Computed once per (rule, round) on the driving thread,
-  // then shared by the sequential loop or every parallel task slice — that
-  // is what makes the chase.join.* counters thread-invariant.
+  // the passes worth running (pivot windows holding at least one row) and
+  // the RuleExecution record destined for the node graph. Computed once
+  // per (rule, round) on the driving thread, then shared by the sequential
+  // loop or every parallel task slice — that is what makes the chase.join.*
+  // counters thread-invariant.
   struct RuleExecutionPlan {
     std::vector<RulePass> passes;
-    std::vector<AtomJoin> joins;
     RuleExecution record;
     FactId delta_begin = 0;  // for the rule.eval event only
     FactId limit = 0;
@@ -517,10 +493,7 @@ class ChaseRun {
   // The trigger-graph admission test, pass by pass: a pass whose pivot
   // window holds zero pivot-predicate rows cannot enumerate a single
   // candidate and is dropped before any matching machinery spins up; a
-  // rule all of whose passes drop is skipped outright. The test is join-
-  // mode independent (it reads the graph's id lists, not the segments), so
-  // skip counts — and therefore all chase.join.* counters — agree between
-  // merge and probe runs.
+  // rule all of whose passes drop is skipped outright.
   // Fill-style so the sequential round loop can reuse one plan's vectors
   // across every (rule, round) — the per-round allocation churn showed up
   // on small many-round workloads.
@@ -531,13 +504,9 @@ class ChaseRun {
     eplan.record = RuleExecution{};
     eplan.delta_begin = delta_begin;
     eplan.limit = limit;
-    ComputeAtomJoins(plan, store_, config_.join_mode, limit, &eplan.joins);
     eplan.record.rule_index = plan.index;
     eplan.record.stratum = cur_stratum_;
     eplan.record.round = cur_round_;
-    for (const AtomJoin& join : eplan.joins) {
-      ++(join.merge ? eplan.record.merge_atoms : eplan.record.probe_atoms);
-    }
     if (delta_begin < 0 || !config_.semi_naive) {
       if (plan.rule->body.empty()) {
         // The one empty-body match exists regardless of the database; a
@@ -604,10 +573,9 @@ class ChaseRun {
       // Seal the previous round's delta (or the initial base / restored
       // state, tagged with the pre-increment round number) before the
       // fixpoint check, so the final delta is recorded too. Idempotent:
-      // the store tracks its sealed watermark, and after a resume the node
-      // graph's restored watermark suppresses re-recording the restored
-      // base while the segments themselves are still (re)built.
-      store_.SealRound(limit, &result_.node_graph, result_.stats.rounds);
+      // the node graph tracks its sealed watermark, which a resume moves
+      // past the restored base.
+      result_.node_graph.SealRound(result_.graph, limit, result_.stats.rounds);
       if (round_pending) {
         round_pending = false;
         // Commit the finished round only after its delta is sealed, so its
@@ -723,9 +691,9 @@ class ChaseRun {
   // Resource governor (common/memory.h, DESIGN.md §11). No-ops without a
   // budget; otherwise one content-based footprint reconciliation per round.
 
-  // The run's accounted footprint: chase graph + provenance, position index
-  // + segment chains, trigger graph, and aggregate state. Every term is a
-  // pure function of derived content (string lengths + element sizes, never
+  // The run's accounted footprint: chase graph + provenance, position
+  // index, trigger graph, and aggregate state. Every term is a pure
+  // function of derived content (string lengths + element sizes, never
   // container capacities), so the figure is byte-identical across thread
   // counts and across checkpoint resume — which keeps a budget sweep
   // deterministic at 1/2/8 threads.
@@ -743,13 +711,6 @@ class ChaseRun {
         tracer_ = nullptr;
         return "tracer";
       case 1:
-        // Releases every columnar chain and stops building new ones; the
-        // join chooser falls back to the probe path, which is
-        // output-invisible (DESIGN.md §10). Safe here: between rounds no
-        // compiled plan holds a chain pointer.
-        store_.DisableSegments();
-        return "segments";
-      case 2:
         if (event_log_ != nullptr) event_log_->ShrinkRings(32);
         return "event_rings";
       default:
@@ -840,10 +801,9 @@ class ChaseRun {
     // thread counts, so resuming at a different count is a feature),
     // deadline/cancel, the max_rounds/max_facts guard rails (raising a
     // limit to finish an interrupted run must not orphan its checkpoint),
-    // and the resource-governance and execution-strategy knobs — budget,
-    // watchdog, segment_hot_min_facts, join_mode, chaos_stall_* — so a run
-    // save-and-stopped by its memory budget resumes on a bigger box with
-    // the budget simply removed.
+    // and the resource-governance knobs — budget, watchdog, chaos_stall_* —
+    // so a run save-and-stopped by its memory budget resumes on a bigger
+    // box with the budget simply removed.
     uint64_t h = HashCombine(0, kCheckpointFormatVersion);
     h = HashCombine(h, static_cast<uint64_t>(ProgramFingerprint(program_)));
     for (const Fact& fact : edb) {
@@ -934,9 +894,8 @@ class ChaseRun {
     next_null_id_ = cursor.next_null_id;
     // Seed the trigger graph with the committed history; the watermark
     // (the restored graph size) makes the first post-resume SealRound a
-    // segment-building no-op record-wise, so a resumed run's node graph —
-    // and the chase.join.* counters derived from it — match the
-    // uninterrupted run's byte for byte.
+    // no-op, so a resumed run's node graph — and the chase.join.* counters
+    // derived from it — match the uninterrupted run's byte for byte.
     result_.node_graph.Restore(std::move(checkpoint.segment_nodes),
                                std::move(checkpoint.rule_executions), total);
     *start_stratum = static_cast<size_t>(cursor.stratum_index);
@@ -1083,12 +1042,11 @@ class ChaseRun {
   }
 
  private:
-  // Evaluates one non-skipped rule execution: every planned pass, with the
-  // execution's precomputed join strategies. With a registry attached, the
-  // evaluation is timed and decomposed into the match / head-creation /
-  // aggregation phases: head and aggregation scopes accumulate into their
-  // own cells, and the matching share is the remainder of the
-  // whole-evaluation time.
+  // Evaluates one non-skipped rule execution: every planned pass. With a
+  // registry attached, the evaluation is timed and decomposed into the
+  // match / head-creation / aggregation phases: head and aggregation scopes
+  // accumulate into their own cells, and the matching share is the
+  // remainder of the whole-evaluation time.
   Status EvaluateRule(const RulePlan& plan, const RuleExecutionPlan& eplan) {
     if (watchdog_ != nullptr) {
       // Sequential path only: name the rule the stall report would blame.
@@ -1156,8 +1114,8 @@ class ChaseRun {
       window.pivot_begin = pass.begin;
       window.pivot_end = pass.end;
       window.pre_pivot_cap = pass.cap;
-      TEMPLEX_RETURN_IF_ERROR(EnumerateMatches(
-          plan, store_, result_.graph, window, &eplan.joins, callback));
+      TEMPLEX_RETURN_IF_ERROR(
+          EnumerateMatches(plan, store_, result_.graph, window, callback));
     }
     return Status::OK();
   }
@@ -1175,7 +1133,6 @@ class ChaseRun {
   struct MatchTask {
     const RulePlan* plan = nullptr;
     MatchWindow window;
-    const std::vector<AtomJoin>* joins = nullptr;  // the execution's joins
     int64_t pivot_rows = 0;  // pivot rows in this slice (delta_facts share)
     // Outputs, owned by this task until the merge:
     Status status;
@@ -1203,7 +1160,6 @@ class ChaseRun {
         MatchTask task;
         task.plan = &plan;
         task.window.limit = eplan.limit;
-        task.joins = &eplan.joins;
         tasks->push_back(std::move(task));
         continue;
       }
@@ -1227,7 +1183,6 @@ class ChaseRun {
         task.window.pivot_end =
             s == n - 1 ? pass.end : ids[first + static_cast<size_t>(row_hi)];
         task.window.pre_pivot_cap = pass.cap;
-        task.joins = &eplan.joins;
         task.pivot_rows = row_hi - row_lo;
         tasks->push_back(std::move(task));
       }
@@ -1253,7 +1208,7 @@ class ChaseRun {
     InterruptProbe probe(config_.deadline, config_.cancel, watchdog_,
                          "match task");
     task->status = EnumerateMatches(
-        *task->plan, store_, result_.graph, task->window, task->joins,
+        *task->plan, store_, result_.graph, task->window,
         [this, task, &probe](const BodyMatch& match) -> Status {
           TEMPLEX_RETURN_IF_ERROR(probe.Check());
           ++task->matches;
@@ -1281,8 +1236,7 @@ class ChaseRun {
                           FactId delta_begin, FactId limit) {
     // Execution plans are decided and recorded on this thread, in stratum
     // rule order — identically to the sequential path — before any task
-    // exists; tasks alias each plan's joins, so the vector must not grow
-    // afterwards.
+    // exists.
     std::vector<RuleExecutionPlan> eplans(rule_indexes.size());
     for (size_t k = 0; k < rule_indexes.size(); ++k) {
       PlanRuleExecution(plans_[rule_indexes[k]], delta_begin, limit,
@@ -1323,11 +1277,25 @@ class ChaseRun {
         profile->delta_facts += task.pivot_rows;
         profile->match_seconds += task.seconds;
       }
-      std::optional<ScopedTimer> derive_timer;
-      if (profile != nullptr) derive_timer.emplace(&profile->derive_seconds);
-      for (PendingHead& head : task.heads) {
-        TEMPLEX_RETURN_IF_ERROR(ApplyHead(*task.plan, std::move(head.binding),
-                                          std::move(head.facts)));
+      // ApplyHead accumulates into head_seconds_ / aggregate_seconds_;
+      // observe this task's share, as EvaluateRule does per rule.
+      const double head_before = head_seconds_;
+      const double aggregate_before = aggregate_seconds_;
+      {
+        std::optional<ScopedTimer> derive_timer;
+        if (profile != nullptr) {
+          derive_timer.emplace(&profile->derive_seconds);
+        }
+        for (PendingHead& head : task.heads) {
+          TEMPLEX_RETURN_IF_ERROR(ApplyHead(
+              *task.plan, std::move(head.binding), std::move(head.facts)));
+        }
+      }
+      if (metrics_ != nullptr) {
+        const double head = head_seconds_ - head_before;
+        const double aggregate = aggregate_seconds_ - aggregate_before;
+        if (head > 0.0) head_hist_->Observe(head);
+        if (aggregate > 0.0) aggregate_hist_->Observe(aggregate);
       }
       TEMPLEX_RETURN_IF_ERROR(task.status);
     }
@@ -1635,7 +1603,7 @@ class ChaseRun {
   obs::EventLog* event_log_;       // may be null
   MemoryBudget* budget_;           // may be null: no governor
   StallWatchdog* watchdog_;        // may be null: no stall detection
-  // Next rung of the degradation ladder (see Degrade); saturates at 3.
+  // Next rung of the degradation ladder (see Degrade); saturates at 2.
   int degrade_step_ = 0;
   // Resolved chase.memory.* instruments (null without metrics + budget; the
   // four are set together, so one null test covers them).
@@ -1749,9 +1717,6 @@ std::vector<Fact> ChaseResult::Match(const Fact& pattern) const {
 }
 
 ChaseEngine::ChaseEngine(ChaseConfig config) : config_(config) {
-  // TEMPLEX_JOIN_MODE overrides the configured join mode — the CI bench
-  // matrix flips it without touching call sites. Output-invisible.
-  config_.join_mode = JoinModeFromEnv(config_.join_mode);
   int threads = config_.num_threads;
   if (threads == 0) threads = ThreadPool::HardwareConcurrency();
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);

@@ -11,7 +11,6 @@
 #include "engine/chase_graph.h"
 #include "engine/fact.h"
 #include "engine/node_graph.h"
-#include "engine/segment.h"
 #include "obs/metrics.h"
 #include "obs/rule_profile.h"
 
@@ -69,16 +68,6 @@ struct ChaseConfig {
   // chase graph, provenance, stats, and per-rule counters (only the phase
   // *latency* histograms and span shapes differ — see DESIGN.md).
   int num_threads = 1;
-  // How body atoms source their candidates (engine/segment.h): kMerge (the
-  // default) seals each round's facts into sorted columnar segments and
-  // merge-joins atoms whose predicate chains are regular; kProbe keeps the
-  // legacy hash-probe-only path (the merge machinery then costs nothing).
-  // A pure execution-strategy knob: match sets, enumeration order, and
-  // every chase output are byte-identical in both modes, so — like
-  // num_threads — it is deliberately outside the checkpoint config hash.
-  // The ChaseEngine constructor lets the TEMPLEX_JOIN_MODE environment
-  // variable ("merge"/"probe") override this field.
-  JoinMode join_mode = JoinMode::kMerge;
   // Optional observability sinks (obs/metrics.h, obs/trace.h); both may be
   // null, in which case instrumented code paths reduce to one pointer test
   // each — tier-1 timings are unaffected. When `metrics` is set, the run
@@ -116,16 +105,15 @@ struct ChaseConfig {
   // Resource governor (common/memory.h, DESIGN.md §11); may be null, in
   // which case footprint accounting costs one pointer test per round. When
   // set, the run reconciles its content-based footprint (chase graph +
-  // provenance, position index, segment chains, trigger graph, aggregate
-  // state) against the budget at every round boundary and exports
+  // provenance, position index, trigger graph, aggregate state) against
+  // the budget at every round boundary and exports
   // chase.memory.{bytes,peak_bytes,pressure_events}. Soft pressure sheds
   // accessory state in priority order — tracer buffers first, then the
-  // columnar segment chains (falling back to JoinMode::kProbe, which is
-  // output-invisible), then the flight-recorder rings. Hard pressure is
-  // save-and-stop: the current round finishes, a final checkpoint commits
-  // (when checkpointing is on), and Run() returns kResourceExhausted — a
-  // later run with `checkpoint.resume` (on a bigger box, without the
-  // budget) continues byte-identically. Like num_threads, the budget is an
+  // flight-recorder rings. Hard pressure is save-and-stop: the current
+  // round finishes, a final checkpoint commits (when checkpointing is on),
+  // and Run() returns kResourceExhausted — a later run with
+  // `checkpoint.resume` (on a bigger box, without the budget) continues
+  // byte-identically. Like num_threads, the budget is an
   // execution-environment knob: deliberately outside the checkpoint config
   // hash. Must outlive the run.
   MemoryBudget* budget = nullptr;
@@ -140,13 +128,6 @@ struct ChaseConfig {
   // outlive the run. Purely observational: outside the checkpoint config
   // hash, no effect on outputs.
   ChaseProgress* progress = nullptr;
-  // Sealing heuristic (FactStore::SetSegmentHotMinFacts): a predicate's
-  // columnar chain is only built once the predicate holds this many facts,
-  // then backfilled from fact 0; colder predicates stay on the probe path,
-  // recovering the per-round sealing overhead on small workloads. <= 0
-  // builds on first contact. A pure execution-strategy knob (join choices
-  // shift, outputs do not): outside the checkpoint config hash.
-  int64_t segment_hot_min_facts = 128;
   // Chaos knobs (tests/CI only): at the start of round `chaos_stall_round`,
   // the driving thread burns wall-clock in short cancellation-polling
   // slices without heartbeating the watchdog for `chaos_stall_ms` — a

@@ -1,7 +1,5 @@
 #include "engine/matcher.h"
 
-#include <algorithm>
-
 namespace templex {
 
 namespace {
@@ -10,13 +8,11 @@ class MatchEnumerator {
  public:
   MatchEnumerator(const RulePlan& plan, const FactStore& store,
                   const ChaseGraph& graph, const MatchWindow& window,
-                  const std::vector<AtomJoin>* joins,
                   const std::function<Status(const BodyMatch&)>& callback)
       : plan_(plan),
         store_(store),
         graph_(graph),
         window_(window),
-        joins_(joins),
         callback_(callback),
         slots_(static_cast<size_t>(plan.num_slots())) {}
 
@@ -59,93 +55,6 @@ class MatchEnumerator {
     return true;
   }
 
-  // Unifies a segment row against a compiled atom, reading the columnar
-  // copy instead of the graph node. Predicate and arity need no check (the
-  // chain is regular at the atom's arity by join-choice construction), and
-  // `skip_pos` — the probed position — is already equal by EqualRange
-  // (comparator equivalence coincides with operator== for the non-NaN
-  // probes that reach here; NaN probes yield the empty run upstream).
-  bool MatchCandidateSeg(const AtomPlan& ap, const DeltaSegment& seg,
-                         size_t row, int skip_pos) {
-    for (int pos = 0; pos < ap.arity; ++pos) {
-      if (pos == skip_pos) continue;
-      const TermPlan& t = ap.terms[pos];
-      const Value& v = seg.value(pos, row);
-      if (t.is_constant) {
-        if (!(t.constant == v)) return false;
-      } else if (t.binds) {
-        slots_[t.slot] = v;
-      } else {
-        if (!(slots_[t.slot] == v)) return false;
-      }
-    }
-    return true;
-  }
-
-  // Visits one admitted segment row: unify, recurse. Kept in a macro-free
-  // always-inline helper shape by being small enough to inline into both
-  // DescendMerge loops (the per-row call overhead was visible).
-  inline Status VisitSegRow(size_t atom_index, const AtomPlan& atom,
-                            const DeltaSegment& seg, size_t row,
-                            int skip_pos) {
-    if (!MatchCandidateSeg(atom, seg, row, skip_pos)) return Status::OK();
-    match_.facts.push_back(seg.id(row));
-    Status status = Descend(atom_index + 1);
-    match_.facts.pop_back();
-    return status;
-  }
-
-  // Merge-join sourcing for one atom: intersect the window's admitted id
-  // interval with the chain's segments and, when the atom has a
-  // bound-at-entry position, binary-search its equal run per segment.
-  // Segments ascend by id range and rows within a run ascend by id, so the
-  // visit order is ascending fact id — identical to the probe path's.
-  Status DescendMerge(size_t atom_index, const AtomJoin& join) {
-    const AtomPlan& atom = plan_.body[atom_index];
-    FactId lo = 0;
-    FactId hi = window_.limit;
-    if (window_.pivot_atom >= 0) {
-      const int ai = static_cast<int>(atom_index);
-      if (ai == window_.pivot_atom) {
-        lo = window_.pivot_begin;
-        hi = std::min(hi, window_.pivot_end);
-      } else if (ai < window_.pivot_atom) {
-        hi = std::min(hi, window_.pre_pivot_cap);
-      }
-    }
-    if (lo >= hi) return Status::OK();
-    const Value* probe = nullptr;
-    if (atom.probe_position >= 0) {
-      const TermPlan& t = atom.terms[static_cast<size_t>(atom.probe_position)];
-      probe = t.is_constant ? &t.constant : &slots_[t.slot];
-    }
-    for (const DeltaSegment& seg : join.chain->segments()) {
-      if (seg.rows() == 0 || seg.id_begin() >= hi || seg.id_end() <= lo) {
-        continue;  // segment entirely outside the admitted id interval
-      }
-      // The common window spans the whole segment; only clamp by id when
-      // it does not (the pivoted/pre-pivot cases).
-      const bool covered = lo <= seg.id_begin() && seg.id_end() <= hi;
-      if (probe != nullptr) {
-        DeltaSegment::Run run = seg.EqualRange(atom.probe_position, *probe);
-        if (!covered) run = seg.Restrict(run, lo, hi);
-        for (const uint32_t* p = run.begin; p != run.end; ++p) {
-          TEMPLEX_RETURN_IF_ERROR(
-              VisitSegRow(atom_index, atom, seg, *p, atom.probe_position));
-        }
-      } else {
-        const auto [first, last] =
-            covered ? std::pair<size_t, size_t>{0, seg.rows()}
-                    : seg.RowRange(lo, hi);
-        for (size_t row = first; row < last; ++row) {
-          TEMPLEX_RETURN_IF_ERROR(
-              VisitSegRow(atom_index, atom, seg, row, -1));
-        }
-      }
-    }
-    return Status::OK();
-  }
-
   Status Descend(size_t atom_index) {
     if (atom_index == plan_.body.size()) {
       // Every slot is bound here (each came from some body atom), so the
@@ -154,9 +63,6 @@ class MatchEnumerator {
       // order byte for byte.
       match_.binding.AssignSlots(plan_.slot_names, slots_.data());
       return callback_(match_);
-    }
-    if (joins_ != nullptr && (*joins_)[atom_index].merge) {
-      return DescendMerge(atom_index, (*joins_)[atom_index]);
     }
     const AtomPlan& atom = plan_.body[atom_index];
     const std::vector<FactId>& candidates =
@@ -180,7 +86,6 @@ class MatchEnumerator {
   const FactStore& store_;
   const ChaseGraph& graph_;
   const MatchWindow window_;
-  const std::vector<AtomJoin>* joins_;  // nullptr: probe every atom
   const std::function<Status(const BodyMatch&)>& callback_;
 
   // Scratch match state: per-slot values. Bound-ness never needs tracking
@@ -194,46 +99,11 @@ class MatchEnumerator {
 
 }  // namespace
 
-void ComputeAtomJoins(const RulePlan& plan, const FactStore& store,
-                      JoinMode mode, FactId limit,
-                      std::vector<AtomJoin>* out) {
-  out->assign(plan.body.size(), AtomJoin{});
-  if (mode != JoinMode::kMerge || !store.segments_enabled() ||
-      store.sealed_limit() < limit) {
-    return;
-  }
-  for (size_t i = 0; i < plan.body.size(); ++i) {
-    const AtomPlan& atom = plan.body[i];
-    const SegmentChain* chain = store.ChainOf(atom.predicate);
-    if (chain != nullptr && chain->regular() && chain->arity() == atom.arity) {
-      (*out)[i].merge = true;
-      (*out)[i].chain = chain;
-    }
-  }
-}
-
-std::vector<AtomJoin> ComputeAtomJoins(const RulePlan& plan,
-                                       const FactStore& store, JoinMode mode,
-                                       FactId limit) {
-  std::vector<AtomJoin> joins;
-  ComputeAtomJoins(plan, store, mode, limit, &joins);
-  return joins;
-}
-
 Status EnumerateMatches(
     const RulePlan& plan, const FactStore& store, const ChaseGraph& graph,
     const MatchWindow& window,
     const std::function<Status(const BodyMatch&)>& callback) {
-  MatchEnumerator enumerator(plan, store, graph, window, /*joins=*/nullptr,
-                             callback);
-  return enumerator.Run();
-}
-
-Status EnumerateMatches(
-    const RulePlan& plan, const FactStore& store, const ChaseGraph& graph,
-    const MatchWindow& window, const std::vector<AtomJoin>* joins,
-    const std::function<Status(const BodyMatch&)>& callback) {
-  MatchEnumerator enumerator(plan, store, graph, window, joins, callback);
+  MatchEnumerator enumerator(plan, store, graph, window, callback);
   return enumerator.Run();
 }
 

@@ -48,35 +48,6 @@ struct MatchWindow {
   FactId pre_pivot_cap = 0;
 };
 
-// How one body atom sources its candidates in a particular enumeration:
-// the legacy FactStore position-index probe (merge == false), or a
-// merge-join over the predicate's sorted columnar segments. The choice is
-// static per (atom, window limit) — ComputeAtomJoins resolves it once per
-// rule execution, outside the enumeration loop, so it can be counted
-// deterministically (chase.join.{merge,probe}) regardless of how many
-// candidates or threads the enumeration touches.
-struct AtomJoin {
-  bool merge = false;
-  const SegmentChain* chain = nullptr;  // set iff merge
-};
-
-// Resolves the join strategy for every body atom of `plan`. An atom
-// merge-joins iff the mode asks for it, the store's segments cover the
-// whole window ([0, limit) sealed), and the predicate's chain is regular
-// at the atom's arity. Everything else — probe mode, unsealed windows,
-// unknown predicates, irregular (mixed-arity) chains — falls back to the
-// index probe, which is always correct.
-std::vector<AtomJoin> ComputeAtomJoins(const RulePlan& plan,
-                                       const FactStore& store, JoinMode mode,
-                                       FactId limit);
-
-// Fill-style variant for callers that reuse the vector across rule
-// executions (the chase's per-round planning loop): clears `out` and
-// refills it, one entry per body atom, without reallocating at steady
-// state.
-void ComputeAtomJoins(const RulePlan& plan, const FactStore& store,
-                      JoinMode mode, FactId limit, std::vector<AtomJoin>* out);
-
 // Enumerates every homomorphism from the plan's body atoms into the facts
 // of `graph` admitted by `window`, invoking `callback` for each.
 // Enumeration order is deterministic (fact-id order per atom).
@@ -95,17 +66,6 @@ void ComputeAtomJoins(const RulePlan& plan, const FactStore& store,
 // Stops and propagates the first non-OK status returned by the callback.
 Status EnumerateMatches(const RulePlan& plan, const FactStore& store,
                         const ChaseGraph& graph, const MatchWindow& window,
-                        const std::function<Status(const BodyMatch&)>& callback);
-
-// Join-aware form: `joins` (one entry per body atom, from ComputeAtomJoins)
-// selects per atom between the index probe and the segment merge-join.
-// Match set and enumeration order are identical for any valid `joins` —
-// merge-join walks segment rows in ascending fact-id order, the same order
-// the index lists yield — so the strategy is invisible to the chase output.
-// nullptr means all-probe (equivalent to the overload above).
-Status EnumerateMatches(const RulePlan& plan, const FactStore& store,
-                        const ChaseGraph& graph, const MatchWindow& window,
-                        const std::vector<AtomJoin>* joins,
                         const std::function<Status(const BodyMatch&)>& callback);
 
 // Classic semi-naive form: delta_atom < 0 evaluates every atom over

@@ -1,14 +1,25 @@
 #include "engine/node_graph.h"
 
+#include <algorithm>
 #include <utility>
+
+#include "engine/chase_graph.h"
 
 namespace templex {
 
-void NodeGraph::AddSegmentNode(Symbol predicate, int64_t round,
-                               FactId id_begin, FactId id_end) {
-  if (id_begin >= id_end) return;
-  if (id_end <= restored_limit_) return;  // covered by restored history
-  segment_nodes_.push_back(SegmentNode{predicate, round, id_begin, id_end});
+void NodeGraph::SealRound(const ChaseGraph& graph, FactId limit,
+                          int64_t round) {
+  if (limit <= sealed_limit_) return;
+  const int num_symbols = graph.symbols().size();
+  for (Symbol predicate = 0; predicate < num_symbols; ++predicate) {
+    const std::vector<FactId>& ids = graph.FactsOf(predicate);
+    auto first = std::lower_bound(ids.begin(), ids.end(), sealed_limit_);
+    auto last = std::lower_bound(first, ids.end(), limit);
+    if (first == last) continue;  // predicate gained nothing this round
+    segment_nodes_.push_back(
+        SegmentNode{predicate, round, *first, *(last - 1) + 1});
+  }
+  sealed_limit_ = limit;
 }
 
 void NodeGraph::AddRuleExecution(const RuleExecution& exec) {
@@ -17,8 +28,6 @@ void NodeGraph::AddRuleExecution(const RuleExecution& exec) {
     ++skipped_rules_;
   } else {
     ++executed_rules_;
-    merge_choices_ += exec.merge_atoms;
-    probe_choices_ += exec.probe_atoms;
   }
 }
 
@@ -49,12 +58,10 @@ void NodeGraph::Restore(std::vector<SegmentNode> nodes,
                         FactId restored_limit) {
   segment_nodes_ = std::move(nodes);
   rule_executions_.clear();
-  merge_choices_ = 0;
-  probe_choices_ = 0;
   skipped_rules_ = 0;
   executed_rules_ = 0;
   for (const RuleExecution& exec : executions) AddRuleExecution(exec);
-  restored_limit_ = restored_limit;
+  sealed_limit_ = restored_limit;
 }
 
 }  // namespace templex

@@ -9,6 +9,8 @@
 
 namespace templex {
 
+class ChaseGraph;  // engine/chase_graph.h
+
 // One sealed delta of a predicate: the fact-id range [id_begin, id_end)
 // that round `round` contributed (round 0 is the EDB load, or on resume
 // the whole restored base). These are the nodes of the trigger graph —
@@ -24,19 +26,16 @@ struct SegmentNode {
 };
 
 // One rule execution the chase decided on (whether or not it ran): which
-// passes actually scanned pivot rows, which were skipped because the pivot
-// window was empty, and how each body atom's join was sourced. Recorded on
-// the driving thread once per (rule, round) — never per worker task — so
-// the totals are identical at any thread count and any join mode's probe
-// fallbacks are visible in chase.join.*.
+// passes actually scanned pivot rows and which were skipped because the
+// pivot window was empty. Recorded on the driving thread once per (rule,
+// round) — never per worker task — so the totals are identical at any
+// thread count.
 struct RuleExecution {
   int rule_index = 0;
   int stratum = 0;
   int64_t round = 0;
   int passes_run = 0;
   int passes_skipped = 0;
-  int merge_atoms = 0;  // body-atom join choices resolved to merge-join
-  int probe_atoms = 0;  // body-atom join choices resolved to index probe
   bool skipped = false;  // no pass had pivot rows: matching bypassed entirely
 
   friend bool operator==(const RuleExecution&, const RuleExecution&) = default;
@@ -45,16 +44,15 @@ struct RuleExecution {
 // Append-only record of the chase's segment nodes and rule executions.
 // Checkpoints serialize both vectors, so a resumed run reports the same
 // chase.join.* counters as the uninterrupted one: Restore seeds the
-// history and the restored watermark suppresses the duplicate node records
-// the post-resume initial seal would otherwise add (the restored base is
-// already covered by the restored nodes).
+// history and moves the sealed watermark past the restored base, which
+// the restored nodes already cover.
 class NodeGraph {
  public:
-  // Records the delta [id_begin, id_end) predicate `predicate` gained in
-  // `round`. Ranges entirely at or below the restored watermark are
-  // dropped (already present from Restore). Empty ranges are dropped.
-  void AddSegmentNode(Symbol predicate, int64_t round, FactId id_begin,
-                      FactId id_end);
+  // Seals the facts of `graph` in [sealed_limit, limit): records one
+  // SegmentNode per predicate that grew, tagged `round`. Idempotent at a
+  // given limit; must be called with non-decreasing limits, after the
+  // facts exist.
+  void SealRound(const ChaseGraph& graph, FactId limit, int64_t round);
 
   void AddRuleExecution(const RuleExecution& exec);
 
@@ -70,8 +68,6 @@ class NodeGraph {
     return rule_executions_;
   }
 
-  int64_t merge_choices() const { return merge_choices_; }
-  int64_t probe_choices() const { return probe_choices_; }
   int64_t skipped_rules() const { return skipped_rules_; }
   int64_t executed_rules() const { return executed_rules_; }
 
@@ -83,18 +79,15 @@ class NodeGraph {
                                 sizeof(RuleExecution));
   }
 
-  // Seeds the graph from a checkpoint and arms the watermark: subsequent
-  // AddSegmentNode calls covering only ids below `restored_limit` are
-  // duplicates of restored history and are ignored.
+  // Seeds the graph from a checkpoint whose nodes cover the facts below
+  // `restored_limit`; the next SealRound records only facts from there on.
   void Restore(std::vector<SegmentNode> nodes,
                std::vector<RuleExecution> executions, FactId restored_limit);
 
  private:
   std::vector<SegmentNode> segment_nodes_;
   std::vector<RuleExecution> rule_executions_;
-  FactId restored_limit_ = 0;
-  int64_t merge_choices_ = 0;
-  int64_t probe_choices_ = 0;
+  FactId sealed_limit_ = 0;
   int64_t skipped_rules_ = 0;
   int64_t executed_rules_ = 0;
 };

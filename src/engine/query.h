@@ -61,9 +61,9 @@ Status ValidateGoalPattern(const Program& program,
 // restriction (DESIGN.md §12 has the argument).
 //
 // The evaluator honors the config's deadline, cancellation token, memory
-// budget, stall watchdog, thread count, and join mode — the relevance
-// pass checks interruption between subqueries, the restricted chase
-// enforces everything exactly as a full run would.
+// budget, stall watchdog, and thread count — the relevance pass checks
+// interruption between subqueries, the restricted chase enforces
+// everything exactly as a full run would.
 //
 // Falls back to a full materialization (stats.query_driven = false) when
 // the magic rewrite refuses, when the relevance tables would exceed

@@ -45,7 +45,8 @@ struct QueryPlan {
 // `goal_pattern` (Null arguments = free) from EDB sizes, rule fan-out,
 // and goal boundness. `requested` == kMaterialize / kQsqr short-circuits
 // the model. The TEMPLEX_EVAL_MODE environment variable (values
-// "materialize" / "qsqr") overrides kAuto, mirroring TEMPLEX_JOIN_MODE.
+// "materialize" / "qsqr") overrides kAuto, so a CI job can force one mode
+// without touching call sites.
 QueryPlan PlanQuery(const Program& program, const std::vector<Fact>& edb,
                     const Fact& goal_pattern, EvalMode requested);
 

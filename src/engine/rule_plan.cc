@@ -48,10 +48,6 @@ void Compile(RulePlan* plan, Resolve&& resolve) {
             tp.slot < static_cast<int>(bound_by_earlier_atoms.size()) &&
             bound_by_earlier_atoms[tp.slot];
       }
-      if (tp.bound_at_entry && ap.probe_position < 0) {
-        ap.probe_position =
-            static_cast<int>(ap.terms.size());  // first bound position
-      }
       ap.terms.push_back(std::move(tp));
     }
     bound_by_earlier_atoms.resize(plan->slot_names.size(), true);

@@ -34,7 +34,7 @@ struct TermPlan {
   // ENTERS the atom: a constant, or a variable slot first bound by an
   // earlier body atom. Positions bound by an earlier position of the same
   // atom do not qualify — their value only materializes per candidate,
-  // too late to drive a sorted-segment probe.
+  // too late to drive a position-index probe.
   bool bound_at_entry = false;
 };
 
@@ -45,10 +45,6 @@ struct AtomPlan {
   Symbol predicate = kInvalidSymbol;
   int arity = 0;
   std::vector<TermPlan> terms;
-  // First bound_at_entry position, or -1 when none: the join key a
-  // merge-join sources candidates by (EqualRange on the segments' sorted
-  // view). -1 still merge-joins as an ordered row scan of the segments.
-  int probe_position = -1;
 };
 
 // Precomputed per-rule evaluation plan, built once per chase run: the

@@ -392,8 +392,6 @@ void WriteRuleExecution(ByteWriter& w, const RuleExecution& exec) {
   w.I64(exec.round);
   w.I32(exec.passes_run);
   w.I32(exec.passes_skipped);
-  w.I32(exec.merge_atoms);
-  w.I32(exec.probe_atoms);
   w.U8(exec.skipped ? 1 : 0);
 }
 
@@ -403,8 +401,6 @@ bool ReadRuleExecution(ByteReader& r, RuleExecution* out) {
   out->round = r.I64();
   out->passes_run = r.I32();
   out->passes_skipped = r.I32();
-  out->merge_atoms = r.I32();
-  out->probe_atoms = r.I32();
   out->skipped = r.U8() != 0;
   return r.ok();
 }
@@ -844,7 +840,7 @@ Result<ChaseCheckpoint> CheckpointStore::LoadImpl(
       }
       case kRuleExecutions: {
         const uint32_t n = r.U32();
-        if (!r.FitCount(n, 33)) {
+        if (!r.FitCount(n, 25)) {
           return MalformedRecord("rule executions", offset);
         }
         for (uint32_t i = 0; i < n; ++i) {
@@ -1014,7 +1010,7 @@ Result<ChaseCheckpoint> CheckpointStore::LoadImpl(
       delta.segment_nodes.push_back(node);
     }
     const uint32_t execs = r.U32();
-    if (!r.FitCount(execs, 33)) {
+    if (!r.FitCount(execs, 25)) {
       return MalformedRecord("delta rule executions", offset);
     }
     for (uint32_t i = 0; i < execs; ++i) {

@@ -171,7 +171,8 @@ class CheckpointStore {
 // and folded into the engine's checkpoint config hash.
 // v2: trigger-graph records (segment nodes + rule executions) joined the
 // snapshot and delta payloads.
-inline constexpr uint32_t kCheckpointFormatVersion = 2;
+// v3: rule-execution records dropped their per-atom join-choice counts.
+inline constexpr uint32_t kCheckpointFormatVersion = 3;
 
 }  // namespace templex
 

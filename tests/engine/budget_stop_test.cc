@@ -3,7 +3,7 @@
 // trip at every possible observation index must return kResourceExhausted
 // with a committed checkpoint, and resuming WITHOUT the budget must
 // reproduce the unbudgeted run byte-for-byte — same chase-graph signature,
-// DOT rendering, and stats — at 1/2/8 threads and in both join modes.
+// DOT rendering, and stats — at 1/2/8 threads.
 // Also covers the real (non-injected) hard watermark and the soft-pressure
 // degradation ladder, which must stay output-invisible.
 
@@ -64,9 +64,8 @@ std::vector<Fact> ControlNetwork() {
 }
 
 ChaseResult RunPlain(const Program& program, const std::vector<Fact>& edb,
-                     JoinMode mode, int threads) {
+                     int threads) {
   ChaseConfig config;
-  config.join_mode = mode;
   config.num_threads = threads;
   auto result = ChaseEngine(config).Run(program, edb);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -81,52 +80,45 @@ TEST(BudgetStopTest, EveryTripPointResumesIdenticallyWithoutBudget) {
   const Program program = CompanyControlProgram();
   const std::vector<Fact> edb = ControlNetwork();
 
-  for (JoinMode mode : {JoinMode::kMerge, JoinMode::kProbe}) {
-    const char* mode_name = mode == JoinMode::kMerge ? "merge" : "probe";
-    const ChaseResult reference = RunPlain(program, edb, mode, 1);
-    ASSERT_GT(reference.stats.rounds, 2);
+  const ChaseResult reference = RunPlain(program, edb, 1);
+  ASSERT_GT(reference.stats.rounds, 2);
 
-    for (int threads : {1, 2, 8}) {
-      for (int64_t trip = 0; trip <= reference.stats.rounds; ++trip) {
-        const std::string where = std::string(mode_name) + " mode, " +
-                                  std::to_string(threads) +
-                                  " threads, trip at observation " +
-                                  std::to_string(trip);
-        MemFs fs;
+  for (int threads : {1, 2, 8}) {
+    for (int64_t trip = 0; trip <= reference.stats.rounds; ++trip) {
+      const std::string where = std::to_string(threads) +
+                                " threads, trip at observation " +
+                                std::to_string(trip);
+      MemFs fs;
 
-        FaultInjectingAllocator::Options fault;
-        fault.hard_after_observations = trip;
-        FaultInjectingAllocator injector(fault);
-        MemoryBudget::Options budget_options;
-        budget_options.allocator = &injector;
-        MemoryBudget budget(budget_options);
+      FaultInjectingAllocator::Options fault;
+      fault.hard_after_observations = trip;
+      FaultInjectingAllocator injector(fault);
+      MemoryBudget::Options budget_options;
+      budget_options.allocator = &injector;
+      MemoryBudget budget(budget_options);
 
-        ChaseConfig killed;
-        killed.join_mode = mode;
-        killed.num_threads = threads;
-        killed.budget = &budget;
-        killed.checkpoint.fs = &fs;
-        killed.checkpoint.dir = "ckpt";
-        auto first = ChaseEngine(killed).Run(program, edb);
-        ASSERT_FALSE(first.ok()) << where << ": trip did not fire";
-        EXPECT_EQ(first.status().code(), StatusCode::kResourceExhausted)
-            << where << ": " << first.status().ToString();
-        EXPECT_GE(injector.injected_failures(), 1) << where;
+      ChaseConfig killed;
+      killed.num_threads = threads;
+      killed.budget = &budget;
+      killed.checkpoint.fs = &fs;
+      killed.checkpoint.dir = "ckpt";
+      auto first = ChaseEngine(killed).Run(program, edb);
+      ASSERT_FALSE(first.ok()) << where << ": trip did not fire";
+      EXPECT_EQ(first.status().code(), StatusCode::kResourceExhausted)
+          << where << ": " << first.status().ToString();
+      EXPECT_GE(injector.injected_failures(), 1) << where;
 
-        // Resume on the "bigger box": same mode and thread count, no
-        // budget. The checkpoint config hash must accept it (the budget is
-        // an execution-environment knob, not a semantics knob).
-        ChaseConfig resumed;
-        resumed.join_mode = mode;
-        resumed.num_threads = threads;
-        resumed.checkpoint.fs = &fs;
-        resumed.checkpoint.dir = "ckpt";
-        resumed.checkpoint.resume = true;
-        auto second = ChaseEngine(resumed).Run(program, edb);
-        ASSERT_TRUE(second.ok())
-            << where << ": " << second.status().ToString();
-        ExpectSameResult(second.value(), reference, where);
-      }
+      // Resume on the "bigger box": same thread count, no budget. The
+      // checkpoint config hash must accept it (the budget is an
+      // execution-environment knob, not a semantics knob).
+      ChaseConfig resumed;
+      resumed.num_threads = threads;
+      resumed.checkpoint.fs = &fs;
+      resumed.checkpoint.dir = "ckpt";
+      resumed.checkpoint.resume = true;
+      auto second = ChaseEngine(resumed).Run(program, edb);
+      ASSERT_TRUE(second.ok()) << where << ": " << second.status().ToString();
+      ExpectSameResult(second.value(), reference, where);
     }
   }
 }
@@ -136,7 +128,7 @@ TEST(BudgetStopTest, RealHardWatermarkTripsAndResumes) {
   // the very first reconciliation, from the real byte figure.
   const Program program = CompanyControlProgram();
   const std::vector<Fact> edb = ControlNetwork();
-  const ChaseResult reference = RunPlain(program, edb, JoinMode::kMerge, 1);
+  const ChaseResult reference = RunPlain(program, edb, 1);
 
   MemFs fs;
   MemoryBudget::Options options;
@@ -167,12 +159,12 @@ TEST(BudgetStopTest, RealHardWatermarkTripsAndResumes) {
 TEST(BudgetStopTest, SoftPressureDegradesWithoutChangingOutput) {
   // Soft watermark below the initial footprint, hard watermark effectively
   // infinite: every round observes soft pressure, so the run walks the
-  // whole degradation ladder (tracer, segment chains, event rings) and
+  // whole degradation ladder (tracer, then event rings) and
   // STILL must produce the reference output — every ladder step is
   // accessory state.
   const Program program = CompanyControlProgram();
   const std::vector<Fact> edb = ControlNetwork();
-  const ChaseResult reference = RunPlain(program, edb, JoinMode::kMerge, 1);
+  const ChaseResult reference = RunPlain(program, edb, 1);
   ASSERT_GT(reference.stats.rounds, 2);
 
   MemoryBudget::Options options;
@@ -195,11 +187,11 @@ TEST(BudgetStopTest, SoftPressureDegradesWithoutChangingOutput) {
       snapshot.FindCounter("chase.memory.pressure_events");
   ASSERT_NE(pressure, nullptr);
   EXPECT_EQ(pressure->value, 1);
-  // Enough soft observations to exhaust the three-step ladder.
+  // Enough soft observations to exhaust the two-step ladder.
   const obs::CounterSnapshot* degrade =
       snapshot.FindCounter("chase.memory.degrade_steps");
   ASSERT_NE(degrade, nullptr);
-  EXPECT_EQ(degrade->value, 3);
+  EXPECT_EQ(degrade->value, 2);
   // The byte gauges were maintained.
   const obs::GaugeSnapshot* bytes = snapshot.FindGauge("chase.memory.bytes");
   ASSERT_NE(bytes, nullptr);

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "datalog/parser.h"
+#include "engine/node_graph.h"
 
 namespace templex {
 namespace {
@@ -197,39 +198,25 @@ TEST_F(FactStoreTest, NoCollisionsWithFullWidthKeys) {
   EXPECT_EQ(store_.position_index().collision_groups(), 0);
 }
 
-TEST_F(FactStoreTest, SealRoundBuildsChainsAndRecordsSegmentNodes) {
-  store_.EnableSegments();
+TEST_F(FactStoreTest, SealRoundRecordsSegmentNodes) {
   Add({"Own", {Value::String("A"), Value::String("B"), Value::Double(0.6)}});
   Add({"Own", {Value::String("B"), Value::String("C"), Value::Double(0.7)}});
   Add({"Company", {Value::String("A")}});
   NodeGraph node_graph;
-  store_.SealRound(graph_.size(), &node_graph, 0);
-  EXPECT_EQ(store_.sealed_limit(), graph_.size());
+  node_graph.SealRound(graph_, graph_.size(), 0);
   ASSERT_EQ(node_graph.segment_nodes().size(), 2u);
 
-  const Symbol own = graph_.symbols().Lookup("Own");
-  const SegmentChain* chain = store_.ChainOf(own);
-  ASSERT_NE(chain, nullptr);
-  ASSERT_TRUE(chain->regular());
-  ASSERT_EQ(chain->segments().size(), 1u);
-  EXPECT_EQ(chain->segments()[0].rows(), 2u);
-  EXPECT_EQ(chain->segments()[0].arity(), 3);
-
   // Sealing again at the same limit is a no-op (idempotent watermark).
-  store_.SealRound(graph_.size(), &node_graph, 0);
+  node_graph.SealRound(graph_, graph_.size(), 0);
   EXPECT_EQ(node_graph.segment_nodes().size(), 2u);
-}
 
-TEST_F(FactStoreTest, MixedArityPredicateMarksChainIrregular) {
-  store_.EnableSegments();
-  Add({"P", {Value::Int(1)}});
-  store_.SealRound(graph_.size(), nullptr, 0);
-  Add({"P", {Value::Int(1), Value::Int(2)}});
-  store_.SealRound(graph_.size(), nullptr, 1);
-  const Symbol p = graph_.symbols().Lookup("P");
-  const SegmentChain* chain = store_.ChainOf(p);
-  ASSERT_NE(chain, nullptr);
-  EXPECT_FALSE(chain->regular());
+  // The next seal records only the facts past the watermark.
+  const FactId next = Add({"Own", {Value::String("C"), Value::String("D"),
+                                   Value::Double(0.9)}});
+  node_graph.SealRound(graph_, graph_.size(), 1);
+  ASSERT_EQ(node_graph.segment_nodes().size(), 3u);
+  EXPECT_EQ(node_graph.segment_nodes().back(),
+            (SegmentNode{graph_.symbols().Lookup("Own"), 1, next, next + 1}));
 }
 
 TEST(MatchAtomTest, ConstantMismatch) {

@@ -2,7 +2,7 @@
 // and — the actual point of the format — refusing to trust damaged bytes.
 // Snapshot corruption must be kDataLoss (the rename committed it), journal
 // tail corruption must be treated as the crash cut, and a foreign config
-// hash must be kFailedPrecondition.
+// hash or format version must be kFailedPrecondition.
 
 #include "io/checkpoint.h"
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/fs.h"
+#include "common/hash.h"
 #include "obs/metrics.h"
 
 namespace templex {
@@ -209,6 +210,57 @@ TEST(CheckpointStoreTest, ConfigHashMismatchIsFailedPrecondition) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(status.ToString().find("delete the checkpoint directory"),
             std::string::npos);
+}
+
+void AppendLittleEndian(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+// A snapshot file holding only the magic and a header record, built byte
+// by byte in the on-disk layout: little-endian fields, each record framed
+// as [u32 payload_len][u32 crc32(payload)][payload].
+std::string HandBuiltSnapshotHeader(uint32_t version) {
+  std::string payload;
+  AppendLittleEndian(&payload, 1, 1);  // record type: snapshot header
+  AppendLittleEndian(&payload, version, 4);
+  AppendLittleEndian(&payload, kHash, 8);
+  AppendLittleEndian(&payload, 1, 8);  // generation
+  std::string file = "TPXCKPT\n";
+  AppendLittleEndian(&file, payload.size(), 4);
+  AppendLittleEndian(&file, Crc32(payload.data(), payload.size()), 4);
+  return file + payload;
+}
+
+Status LoadHandBuilt(uint32_t version) {
+  MemFs fs;
+  EXPECT_TRUE(fs.CreateDir("ckpt").ok());
+  Result<std::unique_ptr<WritableFile>> file =
+      fs.NewWritableFile("ckpt/snapshot.tpx");
+  EXPECT_TRUE(file.ok());
+  EXPECT_TRUE(file.value()->Append(HandBuiltSnapshotHeader(version)).ok());
+  EXPECT_TRUE(file.value()->Sync().ok());
+  CheckpointStore store(&fs, "ckpt");
+  EXPECT_TRUE(store.Open().ok());
+  return store.Load(kHash).status();
+}
+
+TEST(CheckpointStoreTest, OtherFormatVersionIsRefused) {
+  // The hand-built header is well-formed: at the current version it parses
+  // and the load only fails later, on the missing symbol/footer records.
+  const Status current = LoadHandBuilt(kCheckpointFormatVersion);
+  EXPECT_EQ(current.code(), StatusCode::kDataLoss) << current.ToString();
+  for (uint32_t version : {2u, kCheckpointFormatVersion + 1}) {
+    const Status status = LoadHandBuilt(version);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+        << status.ToString();
+    EXPECT_NE(status.ToString().find("format version " +
+                                     std::to_string(version) +
+                                     " is not supported"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(CheckpointStoreTest, CorruptSnapshotIsDataLoss) {

@@ -53,9 +53,9 @@ expect_exit(2 "missing flag argument"
 expect_exit(2 "bad threads value"
             "${TEMPLEX_CLI}" --program "${DATA_DIR}/control.vada"
             --facts "${DATA_DIR}/facts.csv" --threads nope)
-expect_exit(2 "bad join-mode value"
+expect_exit(2 "removed --join-mode is an unknown flag"
             "${TEMPLEX_CLI}" --program "${DATA_DIR}/control.vada"
-            --facts "${DATA_DIR}/facts.csv" --join-mode nested-loop)
+            --facts "${DATA_DIR}/facts.csv" --join-mode probe)
 expect_exit(2 "resume without checkpoint dir"
             "${TEMPLEX_CLI}" --program "${DATA_DIR}/control.vada"
             --facts "${DATA_DIR}/facts.csv" --resume)

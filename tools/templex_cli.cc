@@ -72,12 +72,6 @@
 // --threads    match-phase threads for each chase round (default 1 =
 //              sequential, 0 = hardware concurrency); results are
 //              byte-identical across thread counts.
-// --join-mode  how body atoms source candidates: "merge" (default) seals
-//              each round into sorted columnar segments and merge-joins
-//              regular predicates, "probe" keeps the hash-index-only path.
-//              A pure execution-strategy knob — outputs are byte-identical
-//              in both modes. The TEMPLEX_JOIN_MODE environment variable
-//              overrides the flag (the CI bench matrix uses it).
 // --deadline-ms overall wall-clock budget in milliseconds for reasoning
 //              and explanation. When it expires the chase aborts cleanly
 //              with DeadlineExceeded, and any LLM enhancement still
@@ -93,14 +87,14 @@
 //              config required); byte-identical to the uninterrupted run,
 //              at any --threads value.
 // --max-bytes  memory budget for the chase's accounted footprint (chase
-//              graph + provenance, indexes, segments, aggregates). The
+//              graph + provenance, indexes, trigger graph, aggregates). The
 //              flag value is the hard watermark: crossing it finishes the
 //              current round, commits a final checkpoint (with
 //              --checkpoint-dir), and exits 7 — rerun with --resume,
 //              without the budget, to continue byte-identically. The soft
 //              watermark sits at 3/4 of it and sheds accessory state
-//              first (tracer buffers, columnar segments, flight-recorder
-//              rings) without changing any output.
+//              first (tracer buffers, then flight-recorder rings) without
+//              changing any output.
 // --stall-timeout-ms round-progress watchdog: if the matcher makes no
 //              progress for this long, the run is cancelled cooperatively
 //              (exit 5) and the crash report names the in-flight
@@ -168,7 +162,7 @@ int Usage() {
       "                   [--trace-out FILE] [--profile] [--rule-profile]\n"
       "                   [--rule-profile-top K]\n"
       "                   [--event-log FILE] [--crash-report FILE]\n"
-      "                   [--threads N] [--join-mode merge|probe]\n"
+      "                   [--threads N]\n"
       "                   [--eval-mode auto|materialize|qsqr]\n"
       "                   [--deadline-ms N]\n"
       "                   [--checkpoint-dir DIR] "
@@ -245,7 +239,6 @@ int main(int argc, char** argv) {
   bool rule_profile = false;
   long rule_profile_top = 20;
   int num_threads = 1;
-  JoinMode join_mode = JoinMode::kMerge;
   EvalMode eval_mode = EvalMode::kAuto;
   long deadline_ms = -1;  // < 0: no deadline
   std::string checkpoint_dir;
@@ -331,16 +324,6 @@ int main(int argc, char** argv) {
         return Usage();
       }
       num_threads = static_cast<int>(parsed);
-    } else if (arg == "--join-mode") {
-      const std::string& value = next("--join-mode");
-      if (value == "merge") {
-        join_mode = JoinMode::kMerge;
-      } else if (value == "probe") {
-        join_mode = JoinMode::kProbe;
-      } else {
-        std::fprintf(stderr, "--join-mode expects 'merge' or 'probe'\n");
-        return Usage();
-      }
     } else if (arg == "--eval-mode") {
       const std::string& value = next("--eval-mode");
       Result<EvalMode> parsed = ParseEvalMode(value);
@@ -541,7 +524,6 @@ int main(int argc, char** argv) {
     sigaction(SIGTERM, &action, nullptr);
   }
   chase_config.num_threads = num_threads;
-  chase_config.join_mode = join_mode;
   chase_config.deadline = deadline;
   chase_config.checkpoint.dir = checkpoint_dir;
   chase_config.checkpoint.every_rounds = checkpoint_every_rounds;
