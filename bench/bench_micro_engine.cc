@@ -82,11 +82,9 @@ Fact PointQueryGoal(const Program& program, const std::vector<Fact>& edb) {
 }
 
 void BM_PointQueryCompanyControl(benchmark::State& state) {
-  // Query-driven evaluation (engine/query.h): magic-set relevance pass +
+  // Query-driven evaluation (engine/query.h): QSQR relevance pass +
   // restricted chase. Compare against BM_PointQueryCompanyControlMaterialize
   // — the whole point is that a bound goal stops paying for the full chase.
-  // (Under TEMPLEX_EVAL_MODE=materialize this degenerates to the baseline;
-  // the CI bench gate excludes BM_PointQuery* on that leg.)
   Program program = CompanyControlProgram();
   std::vector<Fact> edb = OwnershipEdb(static_cast<int>(state.range(0)));
   Fact goal = PointQueryGoal(program, edb);

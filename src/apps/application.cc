@@ -34,26 +34,14 @@ Result<KnowledgeGraphApplication::QueryExecution>
 KnowledgeGraphApplication::RunForQuery(const Fact& goal_pattern,
                                        ChaseConfig config,
                                        EvalMode requested) {
-  const Program& program = explainer_->program();
-  TEMPLEX_RETURN_IF_ERROR(ValidateGoalPattern(program, facts_, goal_pattern));
-  QueryExecution execution;
-  execution.plan = PlanQuery(program, facts_, goal_pattern, requested);
-  if (execution.plan.mode == EvalMode::kMaterialize) {
-    TEMPLEX_RETURN_IF_ERROR(Run(config));
-    execution.answers = Query(goal_pattern);
-    execution.stats.query_driven = false;
-    execution.stats.fallback_reason = execution.plan.reason;
-    execution.stats.edb_facts = static_cast<int64_t>(facts_.size());
-    execution.stats.answers = static_cast<int64_t>(execution.answers.size());
-    return execution;
-  }
-  Result<QueryResult> result =
-      QueryEvaluator(config).Evaluate(program, facts_, goal_pattern);
+  Result<QueryResult> result = QueryEvaluator(std::move(config))
+                                   .Evaluate(explainer_->program(), facts_,
+                                             goal_pattern, requested);
   if (!result.ok()) return result.status();
-  execution.answers = std::move(result.value().answers);
-  execution.stats = std::move(result.value().stats);
-  chase_ = std::make_unique<ChaseResult>(std::move(result.value().chase));
-  return execution;
+  QueryResult& query = result.value();
+  chase_ = std::make_unique<ChaseResult>(std::move(query.chase));
+  return QueryExecution{std::move(query.plan), std::move(query.stats),
+                        std::move(query.answers)};
 }
 
 std::vector<Fact> KnowledgeGraphApplication::Query(

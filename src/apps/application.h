@@ -44,12 +44,12 @@ class KnowledgeGraphApplication {
   Status Run(ChaseConfig config = ChaseConfig());
 
   // Runs just enough of the chase to answer `goal_pattern` (Null arguments
-  // act as wildcards): plans materialize-vs-qsqr with PlanQuery, then
-  // either a full Run or a query-driven evaluation (engine/query.h). Either
-  // way the application ends up with a chase installed, so Query() and
-  // Explain() work unchanged afterwards — under the query-driven strategy
-  // they only cover goal-relevant facts, with byte-identical answers and
-  // explanation text for those.
+  // act as wildcards): QueryEvaluator::Evaluate plans materialize-vs-qsqr
+  // and runs the chosen strategy (engine/query.h); the application then
+  // installs the chase it produced, so Query() and Explain() work
+  // unchanged afterwards — under the query-driven strategy they only cover
+  // goal-relevant facts, with byte-identical answers and explanation text
+  // for those.
   struct QueryExecution {
     QueryPlan plan;       // the chooser's verdict and estimates
     QueryStats stats;     // what the evaluation actually did

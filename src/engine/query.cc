@@ -1,7 +1,6 @@
 #include "engine/query.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -14,7 +13,6 @@
 #include "common/timer.h"
 #include "common/watchdog.h"
 #include "datalog/binding.h"
-#include "datalog/magic.h"
 #include "engine/fact_store.h"
 #include "engine/rule_plan.h"
 #include "obs/event_log.h"
@@ -743,7 +741,8 @@ Status ValidateGoalPattern(const Program& program,
 
 Result<QueryResult> QueryEvaluator::Evaluate(const Program& program,
                                              const std::vector<Fact>& edb,
-                                             const Fact& goal_pattern) {
+                                             const Fact& goal_pattern,
+                                             EvalMode requested) {
   obs::Span run_span(config_.tracer, "query.run");
   double elapsed_seconds = 0.0;
   ScopedTimer timer(&elapsed_seconds);
@@ -752,22 +751,32 @@ Result<QueryResult> QueryEvaluator::Evaluate(const Program& program,
 
   QueryResult result;
   result.stats.edb_facts = static_cast<int64_t>(edb.size());
+  {
+    obs::Span span(config_.tracer, "query.plan");
+    result.plan = PlanQuery(program, edb, goal_pattern, requested);
+    span.AddAttribute("mode", EvalModeName(result.plan.mode));
+    span.AddAttribute("eligible",
+                      result.plan.qsqr_refusal.empty() ? "yes" : "no");
+  }
 
-  auto finish = [&](QueryResult r) -> Result<QueryResult> {
+  auto finish = [&]() -> Result<QueryResult> {
     timer.Stop();
+    result.stats.answers = static_cast<int64_t>(result.answers.size());
+    const QueryStats& stats = result.stats;
+    const char* mode = stats.query_driven ? "qsqr" : "materialize";
     if (config_.metrics != nullptr) {
       config_.metrics->counter("chase.query.runs")->Increment();
-      if (!r.stats.query_driven) {
+      if (!stats.query_driven) {
         config_.metrics->counter("chase.query.fallbacks")->Increment();
       }
       config_.metrics->counter("chase.query.subqueries")
-          ->Increment(r.stats.subquery_tables);
+          ->Increment(stats.subquery_tables);
       config_.metrics->counter("chase.query.memo_hits")
-          ->Increment(r.stats.memo_hits);
+          ->Increment(stats.memo_hits);
       config_.metrics->counter("chase.query.relevant_edb_facts")
-          ->Increment(r.stats.relevant_edb_facts);
+          ->Increment(stats.relevant_edb_facts);
       config_.metrics->counter("chase.query.answers")
-          ->Increment(r.stats.answers);
+          ->Increment(stats.answers);
       config_.metrics->histogram("chase.query.seconds")
           ->Observe(elapsed_seconds);
     }
@@ -775,54 +784,36 @@ Result<QueryResult> QueryEvaluator::Evaluate(const Program& program,
       config_.event_log->Log(
           obs::EventLevel::kInfo, "query", "run.done",
           {{"goal", goal_pattern.ToString()},
-           {"mode", r.stats.query_driven ? "qsqr" : "materialize"},
-           {"answers", std::to_string(r.stats.answers)},
-           {"relevant_edb",
-            std::to_string(r.stats.relevant_edb_facts)},
-           {"subqueries", std::to_string(r.stats.subquery_tables)}});
+           {"mode", mode},
+           {"answers", std::to_string(stats.answers)},
+           {"relevant_edb", std::to_string(stats.relevant_edb_facts)},
+           {"subqueries", std::to_string(stats.subquery_tables)}});
     }
-    run_span.AddAttribute("answers", r.stats.answers);
-    run_span.AddAttribute("mode",
-                          r.stats.query_driven ? "qsqr" : "materialize");
-    return r;
+    run_span.AddAttribute("answers", stats.answers);
+    run_span.AddAttribute("mode", mode);
+    return std::move(result);
   };
 
+  // The only materialize path for point queries.
   auto materialize = [&](std::string reason) -> Result<QueryResult> {
     obs::Span span(config_.tracer, "query.materialize");
     ChaseEngine engine(config_);
     Result<ChaseResult> chase = engine.Run(program, edb);
     TEMPLEX_RETURN_IF_ERROR(chase.status());
-    QueryResult full;
-    full.chase = std::move(chase.value());
-    full.answers = full.chase.Match(goal_pattern);
-    full.stats = result.stats;
-    full.stats.query_driven = false;
-    full.stats.fallback_reason = std::move(reason);
-    full.stats.answers = static_cast<int64_t>(full.answers.size());
-    return finish(std::move(full));
+    result.chase = std::move(chase.value());
+    result.answers = result.chase.Match(goal_pattern);
+    result.stats.query_driven = false;
+    result.stats.fallback_reason = std::move(reason);
+    return finish();
   };
 
-  if (const char* env = std::getenv("TEMPLEX_EVAL_MODE");
-      env != nullptr && std::string_view(env) == "materialize") {
-    return materialize("forced by TEMPLEX_EVAL_MODE=materialize");
-  }
-
-  MagicRewriteResult rewrite;
-  {
-    obs::Span span(config_.tracer, "query.rewrite");
-    rewrite = MagicRewrite(program, goal_pattern);
-    span.AddAttribute("rewritten", rewrite.rewritten ? "yes" : "no");
-    span.AddAttribute(
-        "adorned", static_cast<int64_t>(rewrite.adorned_predicates.size()));
-  }
-  if (!rewrite.rewritten) {
-    if (config_.event_log != nullptr) {
-      config_.event_log->Log(obs::EventLevel::kWarn, "query",
-                             "rewrite.refused",
+  if (result.plan.mode == EvalMode::kMaterialize) {
+    if (!result.plan.qsqr_refusal.empty() && config_.event_log != nullptr) {
+      config_.event_log->Log(obs::EventLevel::kWarn, "query", "qsqr.refused",
                              {{"goal", goal_pattern.ToString()},
-                              {"reason", rewrite.refusal_reason}});
+                              {"reason", result.plan.qsqr_refusal}});
     }
-    return materialize("magic rewrite refused: " + rewrite.refusal_reason);
+    return materialize(result.plan.reason);
   }
 
   std::vector<Fact> relevant_edb;
@@ -849,8 +840,7 @@ Result<QueryResult> QueryEvaluator::Evaluate(const Program& program,
   }
   result.answers = result.chase.Match(goal_pattern);
   result.stats.query_driven = true;
-  result.stats.answers = static_cast<int64_t>(result.answers.size());
-  return finish(std::move(result));
+  return finish();
 }
 
 }  // namespace templex

@@ -9,6 +9,7 @@
 #include "datalog/program.h"
 #include "engine/chase.h"
 #include "engine/fact.h"
+#include "engine/query_planner.h"
 
 namespace templex {
 
@@ -16,8 +17,8 @@ namespace templex {
 // chase.query.* metrics when the config carries a registry).
 struct QueryStats {
   // True when the goal was answered from a restricted chase over the
-  // QSQR-relevant EDB subset; false when the evaluator fell back to a
-  // full materialization (see fallback_reason).
+  // QSQR-relevant EDB subset; false when the evaluator materialized the
+  // full chase instead (see fallback_reason).
   bool query_driven = false;
   std::string fallback_reason;
 
@@ -39,6 +40,8 @@ struct QueryResult {
   // materialization for every query-relevant fact.
   ChaseResult chase;
   QueryStats stats;
+  // The plan Evaluate followed.
+  QueryPlan plan;
 };
 
 // Checks that a goal pattern is answerable at all: the predicate must
@@ -49,33 +52,41 @@ Status ValidateGoalPattern(const Program& program,
                            const std::vector<Fact>& edb,
                            const Fact& goal_pattern);
 
-// Goal-directed evaluation: QSQR-style top-down resolution with memoized
-// subquery tables computes the goal's relevance closure (the dynamic
-// counterpart of the magic-set rewrite in datalog/magic.h — each memo
-// table is the extension of one magic predicate), then a chase of the
-// ORIGINAL program restricted to the relevant EDB subset produces the
-// answers and their provenance. Restricting the input instead of running
-// the adorned program is what keeps explanations byte-identical: fact
-// enumeration order, round numbers, primary-derivation choice, and
-// alternative ordering among query-relevant facts all survive the
-// restriction (DESIGN.md §12 has the argument).
+// Answers a point query, planning it once with PlanQuery
+// (engine/query_planner.h) and owning both strategies:
+//
+//   - query-driven: QSQR-style top-down resolution with memoized subquery
+//     tables computes the goal's relevance closure (the dynamic
+//     counterpart of a magic-set rewrite — each memo table is the
+//     extension of one magic predicate), then a chase of the ORIGINAL
+//     program restricted to the relevant EDB subset produces the answers
+//     and their provenance. Restricting the input instead of running an
+//     adorned program is what keeps explanations byte-identical: fact
+//     enumeration order, round numbers, primary-derivation choice, and
+//     alternative ordering among query-relevant facts all survive the
+//     restriction (DESIGN.md §12 has the argument);
+//   - materialize: the full chase, filtered by the goal pattern
+//     (stats.query_driven = false). Taken when the plan says so — the
+//     goal is not eligible, the cost model prefers it, or the caller
+//     forced it — and when the relevance tables would exceed
+//     config.max_facts. Answers are identical either way.
+//
+// `requested` defaults to kQsqr: direct callers get query-driven
+// evaluation whenever the goal is eligible. KnowledgeGraphApplication::
+// RunForQuery passes the CLI's --eval-mode (kAuto by default).
 //
 // The evaluator honors the config's deadline, cancellation token, memory
 // budget, stall watchdog, and thread count — the relevance pass checks
-// interruption between subqueries, the restricted chase enforces
-// everything exactly as a full run would.
-//
-// Falls back to a full materialization (stats.query_driven = false) when
-// the magic rewrite refuses, when the relevance tables would exceed
-// config.max_facts, or when TEMPLEX_EVAL_MODE=materialize is set; answers
-// are identical either way.
+// interruption between subqueries, the chase enforces everything exactly
+// as a full run would.
 class QueryEvaluator {
  public:
   explicit QueryEvaluator(ChaseConfig config) : config_(std::move(config)) {}
 
   Result<QueryResult> Evaluate(const Program& program,
                                const std::vector<Fact>& edb,
-                               const Fact& goal_pattern);
+                               const Fact& goal_pattern,
+                               EvalMode requested = EvalMode::kQsqr);
 
  private:
   ChaseConfig config_;

@@ -14,8 +14,9 @@ namespace templex {
 
 // How a point query is evaluated. kAuto lets the cost model below choose;
 // the other two force a strategy (`templex_cli --eval-mode=...`). A forced
-// kQsqr still falls back to materialization when the magic rewrite refuses
-// (datalog/magic.h) — forcing the mode must never change answers.
+// kQsqr still resolves to kMaterialize when the goal is not eligible for
+// query-driven evaluation (QueryPlan::qsqr_refusal) — forcing the mode
+// must never change answers.
 enum class EvalMode { kAuto, kMaterialize, kQsqr };
 
 const char* EvalModeName(EvalMode mode);
@@ -29,6 +30,10 @@ struct QueryPlan {
   EvalMode mode = EvalMode::kMaterialize;
   // One-line rationale ("bound goal over 512-fact cone, est. 8x cheaper").
   std::string reason;
+  // Why query-driven evaluation could disagree with the full chase for
+  // this goal; empty when the goal is eligible. Computed for every plan,
+  // whatever mode was requested.
+  std::string qsqr_refusal;
 
   // Estimates the decision used.
   int64_t edb_facts = 0;        // total EDB size
@@ -44,9 +49,20 @@ struct QueryPlan {
 // Chooses materialize-then-query vs. query-driven evaluation for
 // `goal_pattern` (Null arguments = free) from EDB sizes, rule fan-out,
 // and goal boundness. `requested` == kMaterialize / kQsqr short-circuits
-// the model. The TEMPLEX_EVAL_MODE environment variable (values
-// "materialize" / "qsqr") overrides kAuto, so a CI job can force one mode
-// without touching call sites.
+// the model.
+//
+// Every plan first checks the goal's eligibility (DESIGN.md §12): the
+// bindings a magic-set rewrite would propagate from the goal are walked
+// left to right through the goal's dependency cone, and the goal is
+// refused when
+//   - a bound goal/subgoal position holds an aggregate result variable
+//     (values cannot be seeded through a monotone aggregate);
+//   - a rule in the cone has existential head variables (labeled-null
+//     identities depend on global derivation order, so a restricted run
+//     could not reproduce the full chase's explanations byte for byte);
+//   - the magic guards would close a cycle through a negated atom, so the
+//     goal-restricted program would not stratify even when the original
+//     program does.
 QueryPlan PlanQuery(const Program& program, const std::vector<Fact>& edb,
                     const Fact& goal_pattern, EvalMode requested);
 

@@ -6,6 +6,7 @@
 #include "apps/programs.h"
 #include "datalog/parser.h"
 #include "io/csv.h"
+#include "obs/metrics.h"
 
 namespace templex {
 namespace {
@@ -33,6 +34,26 @@ TEST(ApplicationTest, RunAndQueryWithWildcards) {
   // All-wildcard pattern.
   EXPECT_EQ(app->Query({"Control", {Value::Null(), Value::Null()}}).size(),
             3u);
+}
+
+TEST(ApplicationTest, RunForQueryMaterializeCountsAsQueryRun) {
+  // A two-fact instance is below the planner's small-cone threshold, so
+  // auto picks materialization; the run must still be a counted query run.
+  auto app = ControlApp();
+  app->AddFacts({{"Own", {S("A"), S("B"), D(0.6)}},
+                 {"Own", {S("B"), S("C"), D(0.7)}}});
+  obs::MetricsRegistry registry;
+  ChaseConfig config;
+  config.metrics = &registry;
+  auto run = app->RunForQuery({"Control", {S("A"), Value::Null()}}, config);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run.value().plan.mode, EvalMode::kMaterialize);
+  EXPECT_FALSE(run.value().stats.query_driven);
+  EXPECT_EQ(run.value().stats.fallback_reason, run.value().plan.reason);
+  EXPECT_EQ(run.value().answers.size(), 2u);  // B and C
+  EXPECT_EQ(registry.counter("chase.query.runs")->value(), 1);
+  EXPECT_EQ(registry.counter("chase.query.fallbacks")->value(), 1);
+  EXPECT_EQ(app->Query({"Control", {S("A"), Value::Null()}}).size(), 2u);
 }
 
 TEST(ApplicationTest, QueryBeforeRunIsEmpty) {

@@ -21,13 +21,14 @@
 // --query      prints all facts matching a pattern (use _ as wildcard);
 // --eval-mode  auto|materialize|qsqr — how --query is answered. auto (the
 //              default) lets a cost model choose; qsqr runs goal-directed
-//              evaluation (magic-set relevance + restricted chase, see
+//              evaluation (QSQR relevance pass + restricted chase, see
 //              DESIGN.md §12) so point queries stop paying for the full
-//              chase; materialize forces the classic full run. Answers and
+//              chase, unless the goal's eligibility check refuses it;
+//              materialize forces the classic full run. Answers and
 //              explanation text are byte-identical across modes. Flags
 //              that need the whole instance (--what-if, --interactive,
 //              --dump-json, --report, --explain-all, --checkpoint-dir)
-//              force materialize. TEMPLEX_EVAL_MODE overrides auto.
+//              force materialize.
 // --explain    prints the textual explanation of a derived fact
 //              (repeatable);
 // --explain-all prints every recorded reasoning story for the fact;
@@ -613,13 +614,11 @@ int main(int argc, char** argv) {
   if (query_execution.has_value()) {
     // Plan and strategy go to stderr so stdout stays the stable
     // answer/explanation stream.
+    const QueryStats& stats = query_execution->stats;
     std::fprintf(stderr, "query plan: %s — %s\n",
-                 query_execution->stats.query_driven ? "qsqr" : "materialize",
-                 query_execution->stats.query_driven
-                     ? query_execution->plan.reason.c_str()
-                     : (query_execution->stats.fallback_reason.empty()
-                            ? query_execution->plan.reason.c_str()
-                            : query_execution->stats.fallback_reason.c_str()));
+                 stats.query_driven ? "qsqr" : "materialize",
+                 stats.query_driven ? query_execution->plan.reason.c_str()
+                                    : stats.fallback_reason.c_str());
   }
 
   const ChaseResult& chase = app.value()->chase();
