@@ -233,6 +233,9 @@ class ChaseRun {
                              static_cast<int64_t>(base.graph.size()));
       result_.graph = std::move(base.graph);
       result_.stats = base.stats;
+      // chase.join.* of an extension count its own rule executions only.
+      result_.stats.skipped_rules = 0;
+      result_.stats.executed_rules = 0;
       if (base.aggregate_state != nullptr) {
         aggregates_ = *base.aggregate_state;  // deep copy before mutating
       }
@@ -319,10 +322,10 @@ class ChaseRun {
         result_.violations.push_back(std::move(violation));
         return Status::OK();
       };
-      TEMPLEX_RETURN_IF_ERROR(EnumerateMatches(plan, store_, result_.graph,
-                                               /*delta_atom=*/-1,
-                                               /*delta_begin=*/0, limit,
-                                               callback));
+      MatchWindow window;
+      window.limit = limit;
+      TEMPLEX_RETURN_IF_ERROR(
+          EnumerateMatches(plan, store_, result_.graph, window, callback));
     }
     return Status::OK();
   }
@@ -413,15 +416,10 @@ class ChaseRun {
           ->Increment(store_.position_index().position_entries());
       metrics_->counter("chase.index.collision_groups")
           ->Increment(store_.position_index().collision_groups());
-      // Trigger-graph attribution, exported from the node graph's totals.
-      // Executions are recorded once per (rule, round) on the driving
-      // thread, so both are byte-identical across thread counts — and
-      // resume-stable, because checkpoints carry the execution records the
-      // totals are rebuilt from.
       metrics_->counter("chase.join.skipped_rules")
-          ->Increment(result_.node_graph.skipped_rules());
+          ->Increment(result_.stats.skipped_rules);
       metrics_->counter("chase.join.executed_rules")
-          ->Increment(result_.node_graph.executed_rules());
+          ->Increment(result_.stats.executed_rules);
       // Per-rule attribution: the deterministic column goes into counters
       // (so it participates in the cross-thread-count determinism tests);
       // the wall-clock columns and the stratum assignment are gauges. The
@@ -470,13 +468,13 @@ class ChaseRun {
 
   // Everything the round decided about one rule before any matching ran:
   // the passes worth running (pivot windows holding at least one row) and
-  // the RuleExecution record destined for the node graph. Computed once
-  // per (rule, round) on the driving thread, then shared by the sequential
-  // loop or every parallel task slice — that is what makes the chase.join.*
-  // counters thread-invariant.
+  // how many passes were dropped. Computed once per (rule, round) on the
+  // driving thread, then shared by the sequential loop or every parallel
+  // task slice — that is what makes the chase.join.* counters
+  // thread-invariant. No passes means the rule execution is skipped.
   struct RuleExecutionPlan {
     std::vector<RulePass> passes;
-    RuleExecution record;
+    int passes_skipped = 0;
     FactId delta_begin = 0;  // for the rule.eval event only
     FactId limit = 0;
   };
@@ -490,10 +488,10 @@ class ChaseRun {
     return static_cast<int64_t>(last - first);
   }
 
-  // The trigger-graph admission test, pass by pass: a pass whose pivot
-  // window holds zero pivot-predicate rows cannot enumerate a single
-  // candidate and is dropped before any matching machinery spins up; a
-  // rule all of whose passes drop is skipped outright.
+  // The admission test, pass by pass: a pass whose pivot window holds zero
+  // pivot-predicate rows cannot enumerate a single candidate and is
+  // dropped before any matching machinery spins up; a rule all of whose
+  // passes drop is skipped outright.
   // Fill-style so the sequential round loop can reuse one plan's vectors
   // across every (rule, round) — the per-round allocation churn showed up
   // on small many-round workloads.
@@ -501,12 +499,9 @@ class ChaseRun {
                          FactId limit, RuleExecutionPlan* out) {
     RuleExecutionPlan& eplan = *out;
     eplan.passes.clear();
-    eplan.record = RuleExecution{};
+    eplan.passes_skipped = 0;
     eplan.delta_begin = delta_begin;
     eplan.limit = limit;
-    eplan.record.rule_index = plan.index;
-    eplan.record.stratum = cur_stratum_;
-    eplan.record.round = cur_round_;
     if (delta_begin < 0 || !config_.semi_naive) {
       if (plan.rule->body.empty()) {
         // The one empty-body match exists regardless of the database; a
@@ -517,7 +512,7 @@ class ChaseRun {
         if (rows > 0) {
           eplan.passes.push_back(RulePass{/*pivot=*/0, 0, limit, 0, rows});
         } else {
-          ++eplan.record.passes_skipped;
+          ++eplan.passes_skipped;
         }
       }
     } else {
@@ -528,26 +523,28 @@ class ChaseRun {
           eplan.passes.push_back(RulePass{static_cast<int>(pos), delta_begin,
                                           limit, delta_begin, rows});
         } else {
-          ++eplan.record.passes_skipped;
+          ++eplan.passes_skipped;
         }
       }
     }
-    eplan.record.passes_run = static_cast<int>(eplan.passes.size());
-    eplan.record.skipped = eplan.passes.empty();
   }
 
-  // Records the round's decision about one rule and narrates a skip. Runs
+  // Counts the round's decision about one rule and narrates a skip. Runs
   // on the driving thread in stratum rule order, both sequentially and in
-  // the parallel round — the record stream is part of the checkpoint.
+  // the parallel round.
   void RecordExecution(const RulePlan& plan, const RuleExecutionPlan& eplan) {
-    result_.node_graph.AddRuleExecution(eplan.record);
-    if (eplan.record.skipped && event_log_ != nullptr) {
+    if (!eplan.passes.empty()) {
+      ++result_.stats.executed_rules;
+      return;
+    }
+    ++result_.stats.skipped_rules;
+    if (event_log_ != nullptr) {
       event_log_->Log(obs::EventLevel::kDebug, "chase", "rule.skip",
                       {{"rule", RuleMetricName(*plan.rule, plan.index)},
                        {"stratum", std::to_string(cur_stratum_)},
                        {"round", std::to_string(cur_round_)},
                        {"passes_skipped",
-                        std::to_string(eplan.record.passes_skipped)}});
+                        std::to_string(eplan.passes_skipped)}});
     }
   }
 
@@ -567,33 +564,8 @@ class ChaseRun {
     }
     bool first_pass = initial_delta < 0;
     FactId delta_begin = first_pass ? 0 : initial_delta;
-    bool round_pending = false;  // a finished round awaits its commit
     while (true) {
       const FactId limit = result_.graph.size();
-      // Seal the previous round's delta (or the initial base / restored
-      // state, tagged with the pre-increment round number) before the
-      // fixpoint check, so the final delta is recorded too. Idempotent:
-      // the node graph tracks its sealed watermark, which a resume moves
-      // past the restored base.
-      result_.node_graph.SealRound(result_.graph, limit, result_.stats.rounds);
-      if (round_pending) {
-        round_pending = false;
-        // Commit the finished round only after its delta is sealed, so its
-        // trigger-graph segment nodes ride the same commit as the facts
-        // they cover — a checkpoint cut here (deadline, stall, budget
-        // trip) restores a node graph byte-identical to the uninterrupted
-        // run's. The commit still precedes this boundary's interruption
-        // check: an abort can only lose uncommitted work, never committed
-        // rounds. `delta_begin` is the cursor — a resumed run re-enters
-        // here with the same window.
-        TEMPLEX_RETURN_IF_ERROR(CommitRound(stratum_index, delta_begin));
-        // Reconcile the footprint once per completed round, after the
-        // commit: a hard verdict then save-and-stops on exactly the state
-        // the cursor names. One Observe per round on the driving thread
-        // keeps the fault injector's observation index — and so a seeded
-        // chaos sweep — aligned with round numbers at every thread count.
-        TEMPLEX_RETURN_IF_ERROR(GovernMemory(stratum_index, delta_begin));
-      }
       PublishProgress();
       if (!first_pass && delta_begin >= limit) break;  // fixpoint
       TEMPLEX_RETURN_IF_ERROR(CheckInterruption(config_.deadline,
@@ -636,13 +608,23 @@ class ChaseRun {
           PlanRuleExecution(plans_[index], first_pass ? -1 : delta_begin,
                             limit, &eplan_scratch_);
           RecordExecution(plans_[index], eplan_scratch_);
-          if (eplan_scratch_.record.skipped) continue;
+          if (eplan_scratch_.passes.empty()) continue;
           TEMPLEX_RETURN_IF_ERROR(EvaluateRule(plans_[index], eplan_scratch_));
         }
       }
       first_pass = false;
       delta_begin = limit;
-      round_pending = true;  // committed at the next loop top, post-seal
+      // Commit the finished round before the next boundary's fixpoint and
+      // interruption checks: an abort can only lose uncommitted work, never
+      // committed rounds. `delta_begin` is the cursor — a resumed run
+      // re-enters the loop with the same window.
+      TEMPLEX_RETURN_IF_ERROR(CommitRound(stratum_index, delta_begin));
+      // Reconcile the footprint once per completed round, after the
+      // commit: a hard verdict then save-and-stops on exactly the state
+      // the cursor names. One Observe per round on the driving thread
+      // keeps the fault injector's observation index — and so a seeded
+      // chaos sweep — aligned with round numbers at every thread count.
+      TEMPLEX_RETURN_IF_ERROR(GovernMemory(stratum_index, delta_begin));
     }
     return Status::OK();
   }
@@ -692,14 +674,14 @@ class ChaseRun {
   // budget; otherwise one content-based footprint reconciliation per round.
 
   // The run's accounted footprint: chase graph + provenance, position
-  // index, trigger graph, and aggregate state. Every term is a pure
-  // function of derived content (string lengths + element sizes, never
-  // container capacities), so the figure is byte-identical across thread
-  // counts and across checkpoint resume — which keeps a budget sweep
-  // deterministic at 1/2/8 threads.
+  // index, and aggregate state. Every term is a pure function of derived
+  // content (string lengths + element sizes, never container capacities),
+  // so the figure is byte-identical across thread counts and across
+  // checkpoint resume — which keeps a budget sweep deterministic at 1/2/8
+  // threads.
   int64_t FootprintBytes() const {
     return result_.graph.approx_bytes() + store_.approx_bytes() +
-           result_.node_graph.approx_bytes() + aggregates_.approx_bytes();
+           aggregates_.approx_bytes();
   }
 
   // One degradation step per soft observation, cheapest accessory state
@@ -892,12 +874,6 @@ class ChaseRun {
     }
     result_.stats = cursor.stats;
     next_null_id_ = cursor.next_null_id;
-    // Seed the trigger graph with the committed history; the watermark
-    // (the restored graph size) makes the first post-resume SealRound a
-    // no-op, so a resumed run's node graph — and the chase.join.* counters
-    // derived from it — match the uninterrupted run's byte for byte.
-    result_.node_graph.Restore(std::move(checkpoint.segment_nodes),
-                               std::move(checkpoint.rule_executions), total);
     *start_stratum = static_cast<size_t>(cursor.stratum_index);
     *resume_delta = cursor.resume_delta;
     if (metrics_ != nullptr) {
@@ -921,8 +897,6 @@ class ChaseRun {
     last_committed_round_ = result_.stats.rounds;
     last_committed_size_ = result_.graph.size();
     last_committed_symbols_ = result_.graph.symbols().size();
-    last_committed_seg_nodes_ = result_.node_graph.segment_nodes().size();
-    last_committed_execs_ = result_.node_graph.rule_executions().size();
     pending_alternatives_.clear();
     pending_aggregates_.clear();
   }
@@ -992,8 +966,6 @@ class ChaseRun {
       entry.parents = parents;
       snapshot.aggregates.push_back(std::move(entry));
     });
-    snapshot.segment_nodes = result_.node_graph.segment_nodes();
-    snapshot.rule_executions = result_.node_graph.rule_executions();
     snapshot.cursor = MakeCursor(stratum_index, resume_delta);
     TEMPLEX_RETURN_IF_ERROR(ckpt_->WriteSnapshot(snapshot));
     committed_cursor_ = snapshot.cursor;
@@ -1027,14 +999,6 @@ class ChaseRun {
       delta.alternatives.push_back(std::move(record));
     }
     delta.aggregates = std::move(pending_aggregates_);
-    const std::vector<SegmentNode>& seg_nodes =
-        result_.node_graph.segment_nodes();
-    delta.segment_nodes.assign(seg_nodes.begin() + last_committed_seg_nodes_,
-                               seg_nodes.end());
-    const std::vector<RuleExecution>& execs =
-        result_.node_graph.rule_executions();
-    delta.rule_executions.assign(execs.begin() + last_committed_execs_,
-                                 execs.end());
     TEMPLEX_RETURN_IF_ERROR(ckpt_->AppendDelta(delta));
     committed_cursor_ = delta.cursor;
     MarkCommitted();
@@ -1245,7 +1209,7 @@ class ChaseRun {
     }
     std::vector<MatchTask> tasks;
     for (size_t k = 0; k < rule_indexes.size(); ++k) {
-      if (eplans[k].record.skipped) continue;
+      if (eplans[k].passes.empty()) continue;
       PlanRuleTasks(plans_[rule_indexes[k]], eplans[k], &tasks);
     }
     if (tasks.empty()) return Status::OK();
@@ -1627,8 +1591,6 @@ class ChaseRun {
   int64_t last_snapshot_round_ = 0;
   FactId last_committed_size_ = 0;
   int last_committed_symbols_ = 0;
-  size_t last_committed_seg_nodes_ = 0;
-  size_t last_committed_execs_ = 0;
   CheckpointCursor committed_cursor_;
   std::vector<std::pair<FactId, int>> pending_alternatives_;
   std::vector<AggregateEntryRecord> pending_aggregates_;

@@ -10,7 +10,6 @@
 #include "datalog/program.h"
 #include "engine/chase_graph.h"
 #include "engine/fact.h"
-#include "engine/node_graph.h"
 #include "obs/metrics.h"
 #include "obs/rule_profile.h"
 
@@ -105,8 +104,8 @@ struct ChaseConfig {
   // Resource governor (common/memory.h, DESIGN.md §11); may be null, in
   // which case footprint accounting costs one pointer test per round. When
   // set, the run reconciles its content-based footprint (chase graph +
-  // provenance, position index, trigger graph, aggregate state) against
-  // the budget at every round boundary and exports
+  // provenance, position index, aggregate state) against the budget at
+  // every round boundary and exports
   // chase.memory.{bytes,peak_bytes,pressure_events}. Soft pressure sheds
   // accessory state in priority order — tracer buffers first, then the
   // flight-recorder rings. Hard pressure is save-and-stop: the current
@@ -177,12 +176,19 @@ struct ConstraintViolation {
 
 // All fields are 64-bit: at the ROADMAP's target scale the fact counts
 // outgrow int, and the fields are folded into 64-bit metrics counters
-// (chase.facts.*, chase.rounds, chase.matches) on snapshot anyway.
+// (chase.facts.*, chase.rounds, chase.matches, chase.join.*) on snapshot
+// anyway. ChaseStats travels in the checkpoint cursor, so a resumed run
+// reports the uninterrupted run's totals.
 struct ChaseStats {
   int64_t initial_facts = 0;
   int64_t derived_facts = 0;
   int64_t rounds = 0;
   int64_t matches = 0;  // body homomorphisms enumerated
+  // Per-(rule, round) admission decisions, made once on the driving thread
+  // (so identical at any thread count): a rule execution is skipped when
+  // none of its semi-naive passes has a pivot row in its window.
+  int64_t skipped_rules = 0;
+  int64_t executed_rules = 0;
 };
 
 // Outcome of a chase run: the chase graph (which doubles as the saturated
@@ -209,12 +215,6 @@ struct ChaseResult {
   // Fingerprint of the program that produced this result; Extend refuses a
   // mismatch.
   size_t program_fingerprint = 0;
-  // Trigger-graph record of the run (engine/node_graph.h): per-round
-  // segment nodes and per-(rule, round) execution decisions, including
-  // which executions were skipped because no body predicate grew. Feeds the
-  // chase.join.* counters and travels through checkpoints so resumed runs
-  // report the same totals.
-  NodeGraph node_graph;
   // The run's (predicate, position, value) index over `graph`, handed over
   // by the chase when it returns (Run, Extend, --resume and the QSQR
   // restricted chase alike) so Match answers bound lookups without a scan.

@@ -107,39 +107,4 @@ Status EnumerateMatches(
   return enumerator.Run();
 }
 
-Status EnumerateMatches(
-    const RulePlan& plan, const FactStore& store, const ChaseGraph& graph,
-    int delta_atom, FactId delta_begin, FactId limit,
-    const std::function<Status(const BodyMatch&)>& callback) {
-  MatchWindow window;
-  window.limit = limit;
-  window.pivot_atom = delta_atom;
-  window.pivot_begin = delta_begin;
-  window.pivot_end = limit;
-  window.pre_pivot_cap = delta_begin;
-  return EnumerateMatches(plan, store, graph, window, callback);
-}
-
-Status EnumerateMatches(
-    const Rule& rule, const FactStore& store, const ChaseGraph& graph,
-    const MatchWindow& window,
-    const std::function<Status(const BodyMatch&)>& callback) {
-  RulePlan plan = MakeRulePlan(rule, 0);
-  CompileMatchPlan(&plan, graph.symbols());  // lookup-only: graph is frozen
-  return EnumerateMatches(plan, store, graph, window, callback);
-}
-
-Status EnumerateMatches(
-    const Rule& rule, const FactStore& store, const ChaseGraph& graph,
-    int delta_atom, FactId delta_begin, FactId limit,
-    const std::function<Status(const BodyMatch&)>& callback) {
-  MatchWindow window;
-  window.limit = limit;
-  window.pivot_atom = delta_atom;
-  window.pivot_begin = delta_begin;
-  window.pivot_end = limit;
-  window.pre_pivot_cap = delta_begin;
-  return EnumerateMatches(rule, store, graph, window, callback);
-}
-
 }  // namespace templex

@@ -68,28 +68,6 @@ Status EnumerateMatches(const RulePlan& plan, const FactStore& store,
                         const ChaseGraph& graph, const MatchWindow& window,
                         const std::function<Status(const BodyMatch&)>& callback);
 
-// Classic semi-naive form: delta_atom < 0 evaluates every atom over
-// [0, limit); otherwise the atom at `delta_atom` matches [delta_begin,
-// limit), atoms before it ids < delta_begin, atoms after it any id < limit.
-Status EnumerateMatches(const RulePlan& plan, const FactStore& store,
-                        const ChaseGraph& graph, int delta_atom,
-                        FactId delta_begin, FactId limit,
-                        const std::function<Status(const BodyMatch&)>& callback);
-
-// Convenience overloads for callers holding a bare Rule (tests, one-shot
-// probes): compile a throwaway plan against the graph's symbol table
-// (lookup-only — sound because facts below the window limit are frozen)
-// and enumerate with it. The chase itself compiles each rule once per run
-// and calls the RulePlan overloads.
-Status EnumerateMatches(const Rule& rule, const FactStore& store,
-                        const ChaseGraph& graph, const MatchWindow& window,
-                        const std::function<Status(const BodyMatch&)>& callback);
-
-Status EnumerateMatches(const Rule& rule, const FactStore& store,
-                        const ChaseGraph& graph, int delta_atom,
-                        FactId delta_begin, FactId limit,
-                        const std::function<Status(const BodyMatch&)>& callback);
-
 }  // namespace templex
 
 #endif  // TEMPLEX_ENGINE_MATCHER_H_

@@ -25,8 +25,7 @@ enum RecordType : uint8_t {
   kSnapshotFooter = 5,
   kJournalHeader = 6,
   kDelta = 7,
-  kSegmentNodes = 8,
-  kRuleExecutions = 9,
+  // 8 and 9 were the trigger-graph records of formats v2 and v3.
 };
 
 std::string JournalName(uint64_t generation) {
@@ -338,6 +337,8 @@ void WriteCursor(ByteWriter& w, const CheckpointCursor& cursor) {
   w.I64(cursor.stats.derived_facts);
   w.I64(cursor.stats.rounds);
   w.I64(cursor.stats.matches);
+  w.I64(cursor.stats.skipped_rules);
+  w.I64(cursor.stats.executed_rules);
   w.I64(cursor.next_null_id);
 }
 
@@ -348,6 +349,8 @@ bool ReadCursor(ByteReader& r, CheckpointCursor* out) {
   out->stats.derived_facts = r.I64();
   out->stats.rounds = r.I64();
   out->stats.matches = r.I64();
+  out->stats.skipped_rules = r.I64();
+  out->stats.executed_rules = r.I64();
   out->next_null_id = r.I64();
   return r.ok();
 }
@@ -365,44 +368,6 @@ bool ReadAggregateEntry(ByteReader& r, AggregateEntryRecord* out) {
   return ReadValues(r, &out->group_key) &&
          ReadValues(r, &out->contributor_key) && ReadValue(r, &out->value) &&
          ReadParents(r, &out->parents);
-}
-
-// Trigger-graph records (engine/node_graph.h). Fixed-width layouts; the
-// predicate is a symbol id, valid under the same symbol table the nodes
-// use (the config hash pins the program, so ids are stable across runs).
-
-void WriteSegmentNode(ByteWriter& w, const SegmentNode& node) {
-  w.I32(node.predicate);
-  w.I64(node.round);
-  w.I32(node.id_begin);
-  w.I32(node.id_end);
-}
-
-bool ReadSegmentNode(ByteReader& r, SegmentNode* out) {
-  out->predicate = r.I32();
-  out->round = r.I64();
-  out->id_begin = r.I32();
-  out->id_end = r.I32();
-  return r.ok();
-}
-
-void WriteRuleExecution(ByteWriter& w, const RuleExecution& exec) {
-  w.I32(exec.rule_index);
-  w.I32(exec.stratum);
-  w.I64(exec.round);
-  w.I32(exec.passes_run);
-  w.I32(exec.passes_skipped);
-  w.U8(exec.skipped ? 1 : 0);
-}
-
-bool ReadRuleExecution(ByteReader& r, RuleExecution* out) {
-  out->rule_index = r.I32();
-  out->stratum = r.I32();
-  out->round = r.I64();
-  out->passes_run = r.I32();
-  out->passes_skipped = r.I32();
-  out->skipped = r.U8() != 0;
-  return r.ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -578,29 +543,6 @@ Status CheckpointStore::WriteSnapshot(const ChaseCheckpoint& snapshot) {
     }
     AppendFramed(&content, w.str());
   }
-  for (size_t begin = 0; begin < snapshot.segment_nodes.size();
-       begin += kChunk) {
-    const size_t end = std::min(begin + kChunk, snapshot.segment_nodes.size());
-    ByteWriter w;
-    w.U8(kSegmentNodes);
-    w.U32(static_cast<uint32_t>(end - begin));
-    for (size_t i = begin; i < end; ++i) {
-      WriteSegmentNode(w, snapshot.segment_nodes[i]);
-    }
-    AppendFramed(&content, w.str());
-  }
-  for (size_t begin = 0; begin < snapshot.rule_executions.size();
-       begin += kChunk) {
-    const size_t end =
-        std::min(begin + kChunk, snapshot.rule_executions.size());
-    ByteWriter w;
-    w.U8(kRuleExecutions);
-    w.U32(static_cast<uint32_t>(end - begin));
-    for (size_t i = begin; i < end; ++i) {
-      WriteRuleExecution(w, snapshot.rule_executions[i]);
-    }
-    AppendFramed(&content, w.str());
-  }
   {
     ByteWriter w;
     w.U8(kSnapshotFooter);
@@ -692,14 +634,6 @@ Status CheckpointStore::AppendDelta(const CheckpointDelta& delta) {
   w.U32(static_cast<uint32_t>(delta.aggregates.size()));
   for (const AggregateEntryRecord& e : delta.aggregates) {
     WriteAggregateEntry(w, e);
-  }
-  w.U32(static_cast<uint32_t>(delta.segment_nodes.size()));
-  for (const SegmentNode& node : delta.segment_nodes) {
-    WriteSegmentNode(w, node);
-  }
-  w.U32(static_cast<uint32_t>(delta.rule_executions.size()));
-  for (const RuleExecution& exec : delta.rule_executions) {
-    WriteRuleExecution(w, exec);
   }
   std::string framed;
   AppendFramed(&framed, w.str());
@@ -823,32 +757,6 @@ Result<ChaseCheckpoint> CheckpointStore::LoadImpl(
             return MalformedRecord("aggregates", offset);
           }
           checkpoint.aggregates.push_back(std::move(entry));
-        }
-        break;
-      }
-      case kSegmentNodes: {
-        const uint32_t n = r.U32();
-        if (!r.FitCount(n, 20)) return MalformedRecord("segment nodes", offset);
-        for (uint32_t i = 0; i < n; ++i) {
-          SegmentNode node;
-          if (!ReadSegmentNode(r, &node)) {
-            return MalformedRecord("segment nodes", offset);
-          }
-          checkpoint.segment_nodes.push_back(node);
-        }
-        break;
-      }
-      case kRuleExecutions: {
-        const uint32_t n = r.U32();
-        if (!r.FitCount(n, 25)) {
-          return MalformedRecord("rule executions", offset);
-        }
-        for (uint32_t i = 0; i < n; ++i) {
-          RuleExecution exec;
-          if (!ReadRuleExecution(r, &exec)) {
-            return MalformedRecord("rule executions", offset);
-          }
-          checkpoint.rule_executions.push_back(exec);
         }
         break;
       }
@@ -998,28 +906,6 @@ Result<ChaseCheckpoint> CheckpointStore::LoadImpl(
       }
       delta.aggregates.push_back(std::move(entry));
     }
-    const uint32_t segs = r.U32();
-    if (!r.FitCount(segs, 20)) {
-      return MalformedRecord("delta segment nodes", offset);
-    }
-    for (uint32_t i = 0; i < segs; ++i) {
-      SegmentNode node;
-      if (!ReadSegmentNode(r, &node)) {
-        return MalformedRecord("delta segment nodes", offset);
-      }
-      delta.segment_nodes.push_back(node);
-    }
-    const uint32_t execs = r.U32();
-    if (!r.FitCount(execs, 25)) {
-      return MalformedRecord("delta rule executions", offset);
-    }
-    for (uint32_t i = 0; i < execs; ++i) {
-      RuleExecution exec;
-      if (!ReadRuleExecution(r, &exec)) {
-        return MalformedRecord("delta rule executions", offset);
-      }
-      delta.rule_executions.push_back(exec);
-    }
     if (!r.AtEnd()) return MalformedRecord("delta", offset);
     // Apply.
     for (ChaseNode& node : delta.nodes) {
@@ -1031,12 +917,6 @@ Result<ChaseCheckpoint> CheckpointStore::LoadImpl(
     }
     for (AggregateEntryRecord& entry : delta.aggregates) {
       checkpoint.aggregates.push_back(std::move(entry));
-    }
-    for (const SegmentNode& node : delta.segment_nodes) {
-      checkpoint.segment_nodes.push_back(node);
-    }
-    for (const RuleExecution& exec : delta.rule_executions) {
-      checkpoint.rule_executions.push_back(exec);
     }
     checkpoint.cursor = delta.cursor;
   }

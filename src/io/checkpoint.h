@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "engine/chase.h"
 #include "engine/chase_graph.h"
-#include "engine/node_graph.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 
@@ -86,11 +85,6 @@ struct CheckpointDelta {
   std::vector<ChaseNode> nodes;
   std::vector<AlternativeRecord> alternatives;
   std::vector<AggregateEntryRecord> aggregates;
-  // Trigger-graph records accrued since the previous commit
-  // (engine/node_graph.h): resumed runs must report the same
-  // chase.join.* totals as uninterrupted ones.
-  std::vector<SegmentNode> segment_nodes;
-  std::vector<RuleExecution> rule_executions;
 };
 
 // Full resumable chase state. Rule labels are not stored — the config hash
@@ -100,9 +94,6 @@ struct ChaseCheckpoint {
   std::vector<std::string> symbols;  // SymbolTable in id order
   std::vector<ChaseNode> nodes;      // chase graph in id order
   std::vector<AggregateEntryRecord> aggregates;
-  // Full trigger-graph history (engine/node_graph.h), in record order.
-  std::vector<SegmentNode> segment_nodes;
-  std::vector<RuleExecution> rule_executions;
   CheckpointCursor cursor;
 };
 
@@ -172,7 +163,9 @@ class CheckpointStore {
 // v2: trigger-graph records (segment nodes + rule executions) joined the
 // snapshot and delta payloads.
 // v3: rule-execution records dropped their per-atom join-choice counts.
-inline constexpr uint32_t kCheckpointFormatVersion = 3;
+// v4: the trigger-graph records are gone; the cursor's ChaseStats carries
+// the skipped/executed rule totals instead.
+inline constexpr uint32_t kCheckpointFormatVersion = 4;
 
 }  // namespace templex
 

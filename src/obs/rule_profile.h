@@ -28,9 +28,9 @@ struct RuleProfile {
   int64_t firings = 0;      // head emissions (duplicates included)
   int64_t duplicates = 0;   // head facts already present
   // Pivot-window sizes summed over the rule's EXECUTED passes. Passes the
-  // trigger graph skips (no body atom can see a new fact) contribute
-  // nothing — so under merge mode this measures delta actually scanned,
-  // not delta nominally available, and still merges deterministically.
+  // chase skips (no pivot row in the window) contribute nothing — so this
+  // measures delta actually scanned, not delta nominally available, and
+  // still merges deterministically.
   int64_t delta_facts = 0;
   double match_seconds = 0.0;   // time enumerating body matches
   double derive_seconds = 0.0;  // time applying heads (derive + dedupe)

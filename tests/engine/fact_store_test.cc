@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "datalog/parser.h"
-#include "engine/node_graph.h"
 
 namespace templex {
 namespace {
@@ -196,27 +195,6 @@ TEST_F(FactStoreTest, NoCollisionsWithFullWidthKeys) {
           Value::Double(i / 10.0)}});
   }
   EXPECT_EQ(store_.position_index().collision_groups(), 0);
-}
-
-TEST_F(FactStoreTest, SealRoundRecordsSegmentNodes) {
-  Add({"Own", {Value::String("A"), Value::String("B"), Value::Double(0.6)}});
-  Add({"Own", {Value::String("B"), Value::String("C"), Value::Double(0.7)}});
-  Add({"Company", {Value::String("A")}});
-  NodeGraph node_graph;
-  node_graph.SealRound(graph_, graph_.size(), 0);
-  ASSERT_EQ(node_graph.segment_nodes().size(), 2u);
-
-  // Sealing again at the same limit is a no-op (idempotent watermark).
-  node_graph.SealRound(graph_, graph_.size(), 0);
-  EXPECT_EQ(node_graph.segment_nodes().size(), 2u);
-
-  // The next seal records only the facts past the watermark.
-  const FactId next = Add({"Own", {Value::String("C"), Value::String("D"),
-                                   Value::Double(0.9)}});
-  node_graph.SealRound(graph_, graph_.size(), 1);
-  ASSERT_EQ(node_graph.segment_nodes().size(), 3u);
-  EXPECT_EQ(node_graph.segment_nodes().back(),
-            (SegmentNode{graph_.symbols().Lookup("Own"), 1, next, next + 1}));
 }
 
 TEST(MatchAtomTest, ConstantMismatch) {

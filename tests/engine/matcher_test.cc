@@ -19,11 +19,34 @@ class MatcherTest : public ::testing::Test {
     return id;
   }
 
+  // Compiles a throwaway plan against the graph's symbol table
+  // (lookup-only: the facts below the window limit are frozen).
+  RulePlan Plan(const Rule& rule) const {
+    RulePlan plan = MakeRulePlan(rule, 0);
+    CompileMatchPlan(&plan, graph_.symbols());
+    return plan;
+  }
+
+  // Semi-naive window: delta_atom < 0 evaluates every atom over
+  // [0, limit); otherwise the atom at `delta_atom` matches [delta_begin,
+  // limit), atoms before it ids < delta_begin, atoms after it any id <
+  // limit.
+  static MatchWindow Window(int delta_atom, FactId delta_begin,
+                            FactId limit) {
+    MatchWindow window;
+    window.limit = limit;
+    window.pivot_atom = delta_atom;
+    window.pivot_begin = delta_begin;
+    window.pivot_end = limit;
+    window.pre_pivot_cap = delta_begin;
+    return window;
+  }
+
   std::vector<BodyMatch> Enumerate(const Rule& rule, int delta_atom,
                                    FactId delta_begin, FactId limit) {
     std::vector<BodyMatch> matches;
-    Status status = EnumerateMatches(rule, store_, graph_, delta_atom,
-                                     delta_begin, limit,
+    Status status = EnumerateMatches(Plan(rule), store_, graph_,
+                                     Window(delta_atom, delta_begin, limit),
                                      [&matches](const BodyMatch& m) {
                                        matches.push_back(m);
                                        return Status::OK();
@@ -111,7 +134,7 @@ TEST_F(MatcherTest, CallbackErrorStopsEnumeration) {
   Rule rule = ParseRule("P(x) -> Q(x).").value();
   int calls = 0;
   Status status = EnumerateMatches(
-      rule, store_, graph_, -1, 0, graph_.size(),
+      Plan(rule), store_, graph_, Window(-1, 0, graph_.size()),
       [&calls](const BodyMatch&) {
         ++calls;
         return Status::Internal("stop");

@@ -1,9 +1,8 @@
-// Trigger-graph tests (engine/node_graph.h): rule executions whose body
-// predicates did not grow are skipped without matching
-// (chase.join.skipped_rules > 0 on company control), the skip/execute
-// record is identical at 1, 2 and 8 threads, and a run killed at any round
-// and resumed from its checkpoint reproduces the uninterrupted run's
-// trigger graph and chase.join.* totals.
+// Rule-admission tests: rule executions none of whose semi-naive passes
+// has a pivot row are skipped without matching (chase.join.skipped_rules >
+// 0 on company control), the skip/execute totals are identical at 1, 2 and
+// 8 threads, and a run killed at any round and resumed from its checkpoint
+// reproduces the uninterrupted run's chase graph and chase.join.* totals.
 
 #include <gtest/gtest.h>
 
@@ -81,15 +80,42 @@ TEST(TriggerGraphTest, CompanyControlSkipsRedundantRuleExecutions) {
   const auto counters = JoinCounters(result);
   EXPECT_GT(counters.at("chase.join.skipped_rules"), 0);
   EXPECT_GT(counters.at("chase.join.executed_rules"), 0);
-  EXPECT_EQ(counters.at("chase.join.skipped_rules") +
-                counters.at("chase.join.executed_rules"),
-            static_cast<int64_t>(result.node_graph.rule_executions().size()));
-  EXPECT_GT(result.node_graph.segment_nodes().size(), 0u);
+  EXPECT_EQ(counters.at("chase.join.skipped_rules"),
+            result.stats.skipped_rules);
+  EXPECT_EQ(counters.at("chase.join.executed_rules"),
+            result.stats.executed_rules);
+}
+
+TEST(TriggerGraphTest, ExtendCountsItsOwnExecutions) {
+  // Every round plans each rule of the (single) stratum once, so the
+  // totals are rules x rounds; an Extend counts only its own rounds.
+  const Program program = CompanyControlProgram();
+  const int64_t rules = static_cast<int64_t>(program.rules().size());
+  const ChaseResult base = RunWith(program, ControlNetwork(11), 1, nullptr);
+  EXPECT_EQ(base.stats.skipped_rules + base.stats.executed_rules,
+            rules * base.stats.rounds);
+
+  obs::MetricsRegistry registry;
+  ChaseConfig config;
+  config.metrics = &registry;
+  const int64_t base_rounds = base.stats.rounds;
+  auto extended = ChaseEngine(config).Extend(
+      base, program,
+      {Fact{"Own", {Value::String("NewCo"), Value::String("Banca0"),
+                    Value::Double(0.9)}}});
+  ASSERT_TRUE(extended.ok()) << extended.status().ToString();
+  const ChaseStats& stats = extended.value().stats;
+  EXPECT_GT(stats.rounds, base_rounds);
+  EXPECT_EQ(stats.skipped_rules + stats.executed_rules,
+            rules * (stats.rounds - base_rounds));
+  const auto counters = JoinCounters(extended.value());
+  EXPECT_EQ(counters.at("chase.join.skipped_rules"), stats.skipped_rules);
+  EXPECT_EQ(counters.at("chase.join.executed_rules"), stats.executed_rules);
 }
 
 TEST(TriggerGraphTest, SkipDecisionsIdenticalAcrossThreadCounts) {
-  // Executions are planned and recorded on the driving thread, once per
-  // (rule, round), so the record cannot depend on how matching fans out.
+  // Executions are planned and counted on the driving thread, once per
+  // (rule, round), so the totals cannot depend on how matching fans out.
   const Program program = CompanyControlProgram();
   const std::vector<Fact> edb = ControlNetwork(13);
   obs::MetricsRegistry reference_registry;
@@ -98,19 +124,17 @@ TEST(TriggerGraphTest, SkipDecisionsIdenticalAcrossThreadCounts) {
     obs::MetricsRegistry registry;
     const ChaseResult parallel = RunWith(program, edb, threads, &registry);
     EXPECT_EQ(JoinCounters(parallel), JoinCounters(reference))
-        << "trigger-graph counters diverged at " << threads << " threads";
-    EXPECT_EQ(parallel.node_graph.segment_nodes(),
-              reference.node_graph.segment_nodes());
-    EXPECT_EQ(parallel.node_graph.rule_executions(),
-              reference.node_graph.rule_executions());
+        << "join counters diverged at " << threads << " threads";
+    EXPECT_EQ(parallel.stats.skipped_rules, reference.stats.skipped_rules);
+    EXPECT_EQ(parallel.stats.executed_rules, reference.stats.executed_rules);
   }
 }
 
 TEST(TriggerGraphTest, ResumedRunReproducesTriggerGraph) {
   // Kill a checkpointed run at every round, resume it, and require the
-  // restored trigger graph to reproduce the uninterrupted run's record and
-  // chase.join.* totals exactly — the NodeGraph travels through the
-  // checkpoint records.
+  // resumed run to reproduce the uninterrupted run's chase graph and
+  // chase.join.* totals exactly — the totals travel in the checkpoint
+  // cursor's ChaseStats.
   const Program program = CompanyControlProgram();
   const std::vector<Fact> edb = ControlNetwork(11);
 
@@ -138,12 +162,12 @@ TEST(TriggerGraphTest, ResumedRunReproducesTriggerGraph) {
         << "kill " << kill << ": " << second.status().ToString();
     EXPECT_EQ(JoinCounters(second.value()), JoinCounters(reference))
         << "join counters diverged resuming from round " << kill;
-    EXPECT_EQ(second.value().node_graph.segment_nodes(),
-              reference.node_graph.segment_nodes())
-        << "segment nodes diverged resuming from round " << kill;
-    EXPECT_EQ(second.value().node_graph.rule_executions(),
-              reference.node_graph.rule_executions())
-        << "rule executions diverged resuming from round " << kill;
+    EXPECT_EQ(second.value().stats.skipped_rules,
+              reference.stats.skipped_rules)
+        << "skipped rules diverged resuming from round " << kill;
+    EXPECT_EQ(second.value().stats.executed_rules,
+              reference.stats.executed_rules)
+        << "executed rules diverged resuming from round " << kill;
     EXPECT_EQ(GraphSignature(second.value()), GraphSignature(reference));
   }
 }

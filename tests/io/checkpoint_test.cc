@@ -73,7 +73,7 @@ ChaseCheckpoint MakeCheckpoint() {
 
   ckpt.cursor.stratum_index = 1;
   ckpt.cursor.resume_delta = 2;
-  ckpt.cursor.stats = {2, 1, 3, 17};
+  ckpt.cursor.stats = {2, 1, 3, 17, 5, 9};
   ckpt.cursor.next_null_id = 4;
   return ckpt;
 }
@@ -126,6 +126,9 @@ void ExpectCheckpointEq(const ChaseCheckpoint& got,
   EXPECT_EQ(got.cursor.stats.derived_facts, want.cursor.stats.derived_facts);
   EXPECT_EQ(got.cursor.stats.rounds, want.cursor.stats.rounds);
   EXPECT_EQ(got.cursor.stats.matches, want.cursor.stats.matches);
+  EXPECT_EQ(got.cursor.stats.skipped_rules, want.cursor.stats.skipped_rules);
+  EXPECT_EQ(got.cursor.stats.executed_rules,
+            want.cursor.stats.executed_rules);
   EXPECT_EQ(got.cursor.next_null_id, want.cursor.next_null_id);
 }
 
@@ -251,7 +254,7 @@ TEST(CheckpointStoreTest, OtherFormatVersionIsRefused) {
   // and the load only fails later, on the missing symbol/footer records.
   const Status current = LoadHandBuilt(kCheckpointFormatVersion);
   EXPECT_EQ(current.code(), StatusCode::kDataLoss) << current.ToString();
-  for (uint32_t version : {2u, kCheckpointFormatVersion + 1}) {
+  for (uint32_t version : {2u, 3u, kCheckpointFormatVersion + 1}) {
     const Status status = LoadHandBuilt(version);
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
         << status.ToString();

@@ -88,14 +88,13 @@
 //              config required); byte-identical to the uninterrupted run,
 //              at any --threads value.
 // --max-bytes  memory budget for the chase's accounted footprint (chase
-//              graph + provenance, indexes, trigger graph, aggregates). The
-//              flag value is the hard watermark: crossing it finishes the
-//              current round, commits a final checkpoint (with
-//              --checkpoint-dir), and exits 7 — rerun with --resume,
-//              without the budget, to continue byte-identically. The soft
-//              watermark sits at 3/4 of it and sheds accessory state
-//              first (tracer buffers, then flight-recorder rings) without
-//              changing any output.
+//              graph + provenance, indexes, aggregates). The flag value
+//              is the hard watermark: crossing it finishes the current
+//              round, commits a final checkpoint (with --checkpoint-dir),
+//              and exits 7 — rerun with --resume, without the budget, to
+//              continue byte-identically. The soft watermark sits at 3/4
+//              of it and sheds accessory state first (tracer buffers,
+//              then flight-recorder rings) without changing any output.
 // --stall-timeout-ms round-progress watchdog: if the matcher makes no
 //              progress for this long, the run is cancelled cooperatively
 //              (exit 5) and the crash report names the in-flight
