@@ -50,6 +50,60 @@ void BM_ChaseCompanyControl(benchmark::State& state) {
 }
 BENCHMARK(BM_ChaseCompanyControl)->Arg(20)->Arg(50)->Arg(100)->Arg(200);
 
+// The same chase on a pool: the match phase fans out, the apply phase
+// (aggregation and head creation, most of this program) stays on the
+// driving thread. Real time, since the work spans threads.
+void BM_ChaseCompanyControlThreads(benchmark::State& state) {
+  Program program = CompanyControlProgram();
+  std::vector<Fact> edb = OwnershipEdb(static_cast<int>(state.range(0)));
+  ChaseConfig config;
+  config.num_threads = static_cast<int>(state.range(1));
+  ChaseEngine engine(config);
+  for (auto _ : state) {
+    auto result = engine.Run(program, edb);
+    if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
+    benchmark::DoNotOptimize(result.value().graph.size());
+  }
+}
+BENCHMARK(BM_ChaseCompanyControlThreads)
+    ->Args({100, 4})
+    ->ArgNames({"companies", "threads"})
+    ->UseRealTime();
+
+// The apply layer in isolation: a σ3-shaped monotonic sum whose body join
+// is trivial (one Share per Link), over groups of k contributors — about
+// 8192 contributions in all. Every contribution changes its group, so
+// each one folds the group, checks the post-condition and emits the head:
+// a new fact the first time the sum crosses 0.5, a duplicate (and, up to
+// the alternative cap, a recorded alternative) after that.
+void BM_AggregateApply(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const int groups = 8192 / k;
+  Program program = ParseProgram(R"(
+agg: Link(x, z), Share(z, y, s), ts = sum(s, [z]), ts > 0.5 -> Linked(x, y).
+)")
+                        .value();
+  std::vector<Fact> edb;
+  for (int g = 0; g < groups; ++g) {
+    const Value holder = Value::String("h" + std::to_string(g));
+    const Value target = Value::String("t" + std::to_string(g));
+    for (int i = 0; i < k; ++i) {
+      const Value via =
+          Value::String("v" + std::to_string(g) + "_" + std::to_string(i));
+      edb.push_back(Fact{"Link", {holder, via}});
+      edb.push_back(Fact{"Share", {via, target, Value::Double(1.0 / k)}});
+    }
+  }
+  ChaseEngine engine;
+  for (auto _ : state) {
+    auto result = engine.Run(program, edb);
+    if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
+    benchmark::DoNotOptimize(result.value().graph.size());
+  }
+  state.counters["contributions"] = static_cast<double>(groups * k);
+}
+BENCHMARK(BM_AggregateApply)->Arg(8)->Arg(64);
+
 // A bound, derivable point-query goal: Control(X, _) for the subject with
 // the FEWEST derived non-reflexive controls — a typical low-degree entity,
 // not a hub whose control cone spans the network. Deterministic given

@@ -35,13 +35,8 @@ void Binding::Set(const std::string& name, const Value& value) {
 
 void Binding::AssignSlots(const std::vector<std::string>& names,
                           const Value* values) {
-  if (entries_.size() == names.size()) {
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      entries_[i].second = values[i];
-    }
-    return;
-  }
   entries_.clear();
+  entries_.shrink_to_fit();
   entries_.reserve(names.size());
   for (size_t i = 0; i < names.size(); ++i) {
     entries_.emplace_back(names[i], values[i]);

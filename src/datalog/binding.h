@@ -41,23 +41,10 @@ class Binding {
   bool Merge(const Binding& other);
 
   // Rebuilds this binding as {names[i] -> values[i]} for i in
-  // [0, names.size()). Storage is reused: when the binding already holds
-  // names.size() entries, they are assumed to carry these exact names in
-  // this exact order and only the values are overwritten — the contract
-  // under which the match enumerator re-materializes its scratch binding
-  // from the compiled rule plan's slots on every match.
+  // [0, names.size()), at exact capacity — how the chase materializes the
+  // binding of a node it keeps from a compiled rule plan's slot array
+  // (RulePlan::binding_names).
   void AssignSlots(const std::vector<std::string>& names, const Value* values);
-
-  // Drops every entry past the first `n` (no-op when n >= size()). Entries
-  // are append-ordered, so this is the undo-trail primitive the match
-  // enumerator backtracks with: remember size(), bind deeper atoms, then
-  // truncate back.
-  void Truncate(size_t n) {
-    if (n < entries_.size()) {
-      entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(n),
-                     entries_.end());
-    }
-  }
 
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }

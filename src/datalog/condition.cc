@@ -48,22 +48,28 @@ Result<Value> Expr::Eval(const Binding& binding) const {
   if (!lhs.ok()) return lhs.status();
   Result<Value> rhs = rhs_->Eval(binding);
   if (!rhs.ok()) return rhs.status();
-  if (!lhs.value().is_numeric() || !rhs.value().is_numeric()) {
+  return ApplyArithmetic(*this, lhs.value(), rhs.value());
+}
+
+Result<Value> ApplyArithmetic(const Expr& node, const Value& lhs,
+                              const Value& rhs) {
+  if (!lhs.is_numeric() || !rhs.is_numeric()) {
     return Status::InvalidArgument("arithmetic over non-numeric operands in " +
-                                   ToString());
+                                   node.ToString());
   }
-  const double a = lhs.value().AsDouble();
-  const double b = rhs.value().AsDouble();
-  switch (op_) {
-    case Op::kAdd:
+  const double a = lhs.AsDouble();
+  const double b = rhs.AsDouble();
+  switch (node.op()) {
+    case Expr::Op::kAdd:
       return Value::Double(a + b);
-    case Op::kSub:
+    case Expr::Op::kSub:
       return Value::Double(a - b);
-    case Op::kMul:
+    case Expr::Op::kMul:
       return Value::Double(a * b);
-    case Op::kDiv:
+    case Expr::Op::kDiv:
       if (b == 0.0) {
-        return Status::InvalidArgument("division by zero in " + ToString());
+        return Status::InvalidArgument("division by zero in " +
+                                       node.ToString());
       }
       return Value::Double(a / b);
   }
@@ -129,17 +135,20 @@ Result<bool> Condition::Eval(const Binding& binding) const {
   if (!l.ok()) return l.status();
   Result<Value> r = rhs->Eval(binding);
   if (!r.ok()) return r.status();
-  const Value& a = l.value();
-  const Value& b = r.value();
-  if (cmp == Comparator::kEq) return a == b;
-  if (cmp == Comparator::kNe) return a != b;
+  return ApplyComparison(*this, l.value(), r.value());
+}
+
+Result<bool> ApplyComparison(const Condition& condition, const Value& a,
+                             const Value& b) {
+  if (condition.cmp == Comparator::kEq) return a == b;
+  if (condition.cmp == Comparator::kNe) return a != b;
   if (!a.is_numeric() || !b.is_numeric()) {
     return Status::InvalidArgument("ordered comparison over non-numerics in " +
-                                   ToString());
+                                   condition.ToString());
   }
   const double x = a.AsDouble();
   const double y = b.AsDouble();
-  switch (cmp) {
+  switch (condition.cmp) {
     case Comparator::kLt:
       return x < y;
     case Comparator::kLe:

@@ -85,6 +85,15 @@ struct Condition {
   std::string ToString() const;
 };
 
+// The operator and comparison steps of Expr::Eval and Condition::Eval,
+// given already-evaluated operands: `node` (a binary node) and `condition`
+// supply the operator and name the expression in error messages. Shared
+// with the chase's slot-compiled evaluation (engine/rule_plan.h).
+Result<Value> ApplyArithmetic(const Expr& node, const Value& lhs,
+                              const Value& rhs);
+Result<bool> ApplyComparison(const Condition& condition, const Value& lhs,
+                             const Value& rhs);
+
 // A body assignment `var = expr` (expr is not an aggregate), which binds a
 // fresh variable, e.g. `p = s1 * s2` in the close-link application.
 struct Assignment {

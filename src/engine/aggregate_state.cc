@@ -2,13 +2,15 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
+
 namespace templex {
 
 namespace {
 
-// Fixed per-map-node charge (tree node + links): a constant keeps the
-// accounted footprint a pure function of recorded content.
-constexpr int64_t kMapNodeBytes = 48;
+// Fixed per-entry charge (group or contributor bookkeeping): a constant
+// keeps the accounted footprint a pure function of recorded content.
+constexpr int64_t kEntryBytes = 48;
 
 int64_t KeyBytes(const std::vector<Value>& key) {
   int64_t total = 0;
@@ -16,15 +18,13 @@ int64_t KeyBytes(const std::vector<Value>& key) {
   return total;
 }
 
-int64_t EntryBytes(const Value& value, const std::vector<FactId>& parents) {
-  return value.ApproxBytes() +
-         static_cast<int64_t>(parents.size() * sizeof(FactId));
+int64_t EntryBytes(const Value& value, size_t num_parents) {
+  return value.ApproxBytes() + static_cast<int64_t>(num_parents * sizeof(FactId));
 }
 
-}  // namespace
-
-bool AggregateState::VectorValueLess::operator()(
-    const std::vector<Value>& a, const std::vector<Value>& b) const {
+// Lexicographic Value::operator< over keys: the contributor order within
+// a group and the group order of ForEach.
+bool KeyLess(const std::vector<Value>& a, const std::vector<Value>& b) {
   const size_t n = std::min(a.size(), b.size());
   for (size_t i = 0; i < n; ++i) {
     if (a[i] < b[i]) return true;
@@ -33,24 +33,49 @@ bool AggregateState::VectorValueLess::operator()(
   return a.size() < b.size();
 }
 
-std::optional<AggregateEmission> AggregateState::Contribute(
+}  // namespace
+
+size_t AggregateState::GroupKeyHash::Hash(int rule,
+                                          const std::vector<Value>& key) {
+  uint64_t h = HashMix(static_cast<uint64_t>(rule));
+  for (const Value& v : key) h = HashCombine(h, v.Hash());
+  return static_cast<size_t>(h);
+}
+
+AggregateState::Group& AggregateState::FindOrAddGroup(
+    int rule_index, const std::vector<Value>& group_key) {
+  auto it = groups_.find(GroupKeyView{rule_index, &group_key});
+  if (it == groups_.end()) {
+    it = groups_.emplace(GroupKey{rule_index, group_key}, Group{}).first;
+    approx_bytes_ += KeyBytes(group_key) + kEntryBytes;
+  }
+  return it->second;
+}
+
+std::vector<AggregateState::Contributor>::iterator AggregateState::LowerBound(
+    Group& group, const std::vector<Value>& key) {
+  return std::lower_bound(group.contributors.begin(), group.contributors.end(),
+                          key, [](const Contributor& c,
+                                  const std::vector<Value>& k) {
+                            return KeyLess(c.key, k);
+                          });
+}
+
+std::optional<Value> AggregateState::Contribute(
     int rule_index, AggregateFunction function, bool explicit_keys,
     const std::vector<Value>& group_key,
     const std::vector<Value>& contributor_key, const Value& input,
-    const std::vector<FactId>& parents) {
-  RuleState& state = per_rule_[rule_index];
-  auto group_it = state.find(group_key);
-  if (group_it == state.end()) {
-    group_it = state.emplace(group_key, Group{}).first;
-    approx_bytes_ += KeyBytes(group_key) + kMapNodeBytes;
-  }
-  Group& group = group_it->second;
-  auto it = group.find(contributor_key);
+    std::span<const FactId> parents, GroupRef* group_ref) {
+  Group& group = FindOrAddGroup(rule_index, group_key);
+  if (group_ref != nullptr) *group_ref = GroupRef(&group);
+  auto it = LowerBound(group, contributor_key);
   bool changed = false;
-  if (it == group.end()) {
-    group.emplace(contributor_key, ContributorEntry{input, parents});
-    approx_bytes_ +=
-        KeyBytes(contributor_key) + EntryBytes(input, parents) + kMapNodeBytes;
+  if (it == group.contributors.end() || KeyLess(contributor_key, it->key)) {
+    group.contributors.insert(
+        it, Contributor{contributor_key, input,
+                        std::vector<FactId>(parents.begin(), parents.end())});
+    approx_bytes_ += KeyBytes(contributor_key) +
+                     EntryBytes(input, parents.size()) + kEntryBytes;
     changed = true;
   } else if (explicit_keys) {
     bool update = false;
@@ -58,82 +83,35 @@ std::optional<AggregateEmission> AggregateState::Contribute(
       case AggregateFunction::kSum:
       case AggregateFunction::kMax:
       case AggregateFunction::kCount:
-        update = it->second.value < input;
+        update = it->value < input;
         break;
       case AggregateFunction::kMin:
-        update = input < it->second.value;
+        update = input < it->value;
         break;
       case AggregateFunction::kProd:
-        update = !(input == it->second.value);
+        update = !(input == it->value);
         break;
     }
     if (update) {
-      approx_bytes_ += EntryBytes(input, parents) -
-                       EntryBytes(it->second.value, it->second.parents);
-      it->second.value = input;
-      it->second.parents = parents;
+      approx_bytes_ += EntryBytes(input, parents.size()) -
+                       EntryBytes(it->value, it->parents.size());
+      it->value = input;
+      it->parents.assign(parents.begin(), parents.end());
+      it->parents.shrink_to_fit();
       changed = true;
     }
   }
   // With implicit keys a repeated contributor key carries the identical
   // residual binding, hence the identical input: nothing to do.
   if (!changed) return std::nullopt;
-  return MakeEmission(function, group);
+  return Fold(function, group);
 }
 
-int AggregateState::GroupContributorCount(
-    int rule_index, const std::vector<Value>& group_key) const {
-  const RuleState& state = per_rule_[rule_index];
-  auto it = state.find(group_key);
-  if (it == state.end()) return 0;
-  return static_cast<int>(it->second.size());
-}
-
-void AggregateState::ForEach(
-    const std::function<void(int, const std::vector<Value>&,
-                             const std::vector<Value>&, const Value&,
-                             const std::vector<FactId>&)>& fn) const {
-  for (size_t rule = 0; rule < per_rule_.size(); ++rule) {
-    for (const auto& [group_key, group] : per_rule_[rule]) {
-      for (const auto& [contributor_key, entry] : group) {
-        fn(static_cast<int>(rule), group_key, contributor_key, entry.value,
-           entry.parents);
-      }
-    }
-  }
-}
-
-void AggregateState::Restore(int rule_index,
-                             const std::vector<Value>& group_key,
-                             const std::vector<Value>& contributor_key,
-                             const Value& value,
-                             const std::vector<FactId>& parents) {
-  RuleState& state = per_rule_[rule_index];
-  auto group_it = state.find(group_key);
-  if (group_it == state.end()) {
-    group_it = state.emplace(group_key, Group{}).first;
-    approx_bytes_ += KeyBytes(group_key) + kMapNodeBytes;
-  }
-  Group& group = group_it->second;
-  auto it = group.find(contributor_key);
-  if (it == group.end()) {
-    group.emplace(contributor_key, ContributorEntry{value, parents});
-    approx_bytes_ +=
-        KeyBytes(contributor_key) + EntryBytes(value, parents) + kMapNodeBytes;
-    return;
-  }
-  approx_bytes_ += EntryBytes(value, parents) -
-                   EntryBytes(it->second.value, it->second.parents);
-  it->second = ContributorEntry{value, parents};
-}
-
-AggregateEmission AggregateState::MakeEmission(AggregateFunction function,
-                                               const Group& group) const {
-  AggregateEmission emission;
+Value AggregateState::Fold(AggregateFunction function, const Group& group) {
   double acc = 0.0;
   bool first = true;
-  for (const auto& [key, entry] : group) {
-    const double v = entry.value.is_numeric() ? entry.value.AsDouble() : 0.0;
+  for (const Contributor& c : group.contributors) {
+    const double v = c.value.is_numeric() ? c.value.AsDouble() : 0.0;
     switch (function) {
       case AggregateFunction::kSum:
         acc += v;
@@ -152,21 +130,70 @@ AggregateEmission AggregateState::MakeEmission(AggregateFunction function,
         break;
     }
     first = false;
-    emission.contributions.push_back(
-        AggregateContribution{entry.value, entry.parents});
-    for (FactId p : entry.parents) {
-      if (std::find(emission.all_parents.begin(), emission.all_parents.end(),
-                    p) == emission.all_parents.end()) {
-        emission.all_parents.push_back(p);
+  }
+  if (function == AggregateFunction::kCount) {
+    return Value::Int(static_cast<int64_t>(acc));
+  }
+  return Value::Double(acc);
+}
+
+void AggregateState::Contributions(
+    GroupRef group, std::vector<AggregateContribution>* out) const {
+  const std::vector<Contributor>& contributors = group.group_->contributors;
+  out->clear();
+  out->reserve(contributors.size());
+  for (const Contributor& c : contributors) {
+    out->push_back(AggregateContribution{c.value, c.parents});
+  }
+}
+
+void AggregateState::UnionParents(GroupRef group,
+                                  std::vector<FactId>* out) const {
+  out->clear();
+  for (const Contributor& c : group.group_->contributors) {
+    for (FactId p : c.parents) {
+      if (std::find(out->begin(), out->end(), p) == out->end()) {
+        out->push_back(p);
       }
     }
   }
-  if (function == AggregateFunction::kCount) {
-    emission.aggregate = Value::Int(static_cast<int64_t>(acc));
-  } else {
-    emission.aggregate = Value::Double(acc);
+}
+
+void AggregateState::ForEach(
+    const std::function<void(int, const std::vector<Value>&,
+                             const std::vector<Value>&, const Value&,
+                             const std::vector<FactId>&)>& fn) const {
+  std::vector<const std::pair<const GroupKey, Group>*> ordered;
+  ordered.reserve(groups_.size());
+  for (const auto& entry : groups_) ordered.push_back(&entry);
+  std::sort(ordered.begin(), ordered.end(), [](const auto* a, const auto* b) {
+    if (a->first.rule != b->first.rule) return a->first.rule < b->first.rule;
+    return KeyLess(a->first.key, b->first.key);
+  });
+  for (const auto* entry : ordered) {
+    for (const Contributor& c : entry->second.contributors) {
+      fn(entry->first.rule, entry->first.key, c.key, c.value, c.parents);
+    }
   }
-  return emission;
+}
+
+void AggregateState::Restore(int rule_index,
+                             const std::vector<Value>& group_key,
+                             const std::vector<Value>& contributor_key,
+                             const Value& value,
+                             const std::vector<FactId>& parents) {
+  Group& group = FindOrAddGroup(rule_index, group_key);
+  auto it = LowerBound(group, contributor_key);
+  if (it == group.contributors.end() || KeyLess(contributor_key, it->key)) {
+    group.contributors.insert(it, Contributor{contributor_key, value, parents});
+    approx_bytes_ += KeyBytes(contributor_key) +
+                     EntryBytes(value, parents.size()) + kEntryBytes;
+    return;
+  }
+  approx_bytes_ += EntryBytes(value, parents.size()) -
+                   EntryBytes(it->value, it->parents.size());
+  it->value = value;
+  it->parents = parents;
 }
 
 }  // namespace templex

@@ -2,23 +2,15 @@
 #define TEMPLEX_ENGINE_AGGREGATE_STATE_H_
 
 #include <functional>
-#include <map>
 #include <optional>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "datalog/aggregate.h"
 #include "engine/chase_graph.h"
 
 namespace templex {
-
-// Result of a contribution that changed a group's aggregate: the new
-// aggregate value, a snapshot of all current contributions (for provenance
-// and the dashed-template selection), and the union of their parent facts.
-struct AggregateEmission {
-  Value aggregate;
-  std::vector<AggregateContribution> contributions;
-  std::vector<FactId> all_parents;
-};
 
 // Monotonic aggregation state for all rules of one chase run.
 //
@@ -31,35 +23,65 @@ struct AggregateEmission {
 //     prod — which lets a rule aggregate running per-channel totals emitted
 //     by an upstream monotonic aggregation (σ7 of the stress test).
 //
-// Every change to a group's contribution map yields an AggregateEmission;
-// duplicate head facts are filtered downstream by the chase graph's set
-// semantics.
+// Groups live in a hash map keyed by value equality (Value::operator==, so
+// Int(2) and Double(2.0) keys share a group); a group keeps its
+// contributors sorted by contributor key. That order is the one the
+// aggregate folds in (floating-point sums depend on it), the order of a
+// node's `contributions`, and the order ForEach visits.
+//
+// A contribution that changes its group returns only the new aggregate
+// value. The contribution list and parent union that provenance needs are
+// materialized on request (Contributions / UnionParents), so the chase
+// copies them only for the head facts and alternatives the graph keeps.
 class AggregateState {
+ private:
+  struct Group;
+
  public:
-  explicit AggregateState(int num_rules) : per_rule_(num_rules) {}
+  // Names the group a Contribute call landed in, for materializing its
+  // provenance right after. Valid until the next Contribute or Restore.
+  class GroupRef {
+   public:
+    GroupRef() = default;
 
-  // Registers a contribution. Returns the emission if the group changed,
-  // nullopt otherwise. `explicit_keys` selects the update discipline above.
-  std::optional<AggregateEmission> Contribute(
-      int rule_index, AggregateFunction function, bool explicit_keys,
-      const std::vector<Value>& group_key,
-      const std::vector<Value>& contributor_key, const Value& input,
-      const std::vector<FactId>& parents);
+   private:
+    friend class AggregateState;
+    explicit GroupRef(const Group* group) : group_(group) {}
+    const Group* group_ = nullptr;
+  };
 
-  // Number of contributors currently recorded for a group (0 if unseen).
-  int GroupContributorCount(int rule_index,
-                            const std::vector<Value>& group_key) const;
+  explicit AggregateState(int num_rules) : num_rules_(num_rules) {}
 
-  int num_rules() const { return static_cast<int>(per_rule_.size()); }
+  // Registers a contribution. Returns the group's new aggregate value if
+  // the group changed, nullopt otherwise; `group` (optional) receives the
+  // group either way. `explicit_keys` selects the update discipline above.
+  std::optional<Value> Contribute(int rule_index, AggregateFunction function,
+                                  bool explicit_keys,
+                                  const std::vector<Value>& group_key,
+                                  const std::vector<Value>& contributor_key,
+                                  const Value& input,
+                                  std::span<const FactId> parents,
+                                  GroupRef* group = nullptr);
+
+  // The group's contributions in contributor-key order, into an
+  // exact-size vector (stored provenance must not carry growth slack).
+  void Contributions(GroupRef group,
+                     std::vector<AggregateContribution>* out) const;
+
+  // The union of the group's contributor parents, deduplicated, in
+  // first-appearance order over the contributions. Overwrites *out.
+  void UnionParents(GroupRef group, std::vector<FactId>* out) const;
+
+  int num_rules() const { return num_rules_; }
 
   // Serialization support (io/checkpoint.h). ForEach visits every recorded
   // contribution in deterministic order (rule index ascending, then group
-  // key, then contributor key — map order), and Restore overwrites one
-  // contribution in place. Replaying a checkpoint's entries through Restore
-  // in their recorded order reconstructs the exact state: snapshot entries
-  // come from ForEach, and journal entries are the monotone update stream
-  // (each Contribute that changed state), whose last write per key is the
-  // current value.
+  // key, then contributor key, both by Value::operator<), and Restore
+  // overwrites one contribution in place. Replaying a checkpoint's entries
+  // through Restore in their recorded order reconstructs the exact state:
+  // snapshot entries come from ForEach, and journal entries are the
+  // monotone update stream (each Contribute that changed state), whose last
+  // write per key is the current value.
   void ForEach(
       const std::function<void(int rule_index,
                                const std::vector<Value>& group_key,
@@ -76,23 +98,61 @@ class AggregateState {
   int64_t approx_bytes() const { return approx_bytes_; }
 
  private:
-  struct VectorValueLess {
-    bool operator()(const std::vector<Value>& a,
-                    const std::vector<Value>& b) const;
-  };
-
-  struct ContributorEntry {
+  struct Contributor {
+    std::vector<Value> key;
     Value value;
     std::vector<FactId> parents;
   };
 
-  using Group = std::map<std::vector<Value>, ContributorEntry, VectorValueLess>;
-  using RuleState = std::map<std::vector<Value>, Group, VectorValueLess>;
+  struct Group {
+    std::vector<Contributor> contributors;  // ascending by key
+  };
 
-  AggregateEmission MakeEmission(AggregateFunction function,
-                                 const Group& group) const;
+  struct GroupKey {
+    int rule = 0;
+    std::vector<Value> key;
+  };
 
-  std::vector<RuleState> per_rule_;
+  // Lookup form of GroupKey: probes without copying the key.
+  struct GroupKeyView {
+    int rule = 0;
+    const std::vector<Value>* key = nullptr;
+  };
+
+  struct GroupKeyHash {
+    using is_transparent = void;
+    size_t operator()(const GroupKey& k) const { return Hash(k.rule, k.key); }
+    size_t operator()(const GroupKeyView& k) const {
+      return Hash(k.rule, *k.key);
+    }
+    static size_t Hash(int rule, const std::vector<Value>& key);
+  };
+
+  struct GroupKeyEq {
+    using is_transparent = void;
+    bool operator()(const GroupKey& a, const GroupKey& b) const {
+      return a.rule == b.rule && a.key == b.key;
+    }
+    bool operator()(const GroupKeyView& a, const GroupKey& b) const {
+      return a.rule == b.rule && *a.key == b.key;
+    }
+    bool operator()(const GroupKey& a, const GroupKeyView& b) const {
+      return a.rule == b.rule && a.key == *b.key;
+    }
+  };
+
+  // The group of (rule, key), created (and accounted) on first use.
+  Group& FindOrAddGroup(int rule_index, const std::vector<Value>& group_key);
+
+  // Position of `key` in the group's sorted contributors: the first
+  // contributor not less than it.
+  static std::vector<Contributor>::iterator LowerBound(
+      Group& group, const std::vector<Value>& key);
+
+  static Value Fold(AggregateFunction function, const Group& group);
+
+  std::unordered_map<GroupKey, Group, GroupKeyHash, GroupKeyEq> groups_;
+  int num_rules_ = 0;
   int64_t approx_bytes_ = 0;
 };
 

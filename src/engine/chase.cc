@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <span>
 #include <thread>
 
 #include "common/fs.h"
@@ -231,7 +232,13 @@ class ChaseRun {
       obs::Span seed_span(tracer_, "chase.extend.seed");
       seed_span.AddAttribute("base_facts",
                              static_cast<int64_t>(base.graph.size()));
+      // The base run's position index covers its graph unless the result
+      // was built by hand; copying it beats re-indexing every base fact.
+      const bool index_covers_base =
+          base.position_index != nullptr &&
+          base.position_index->indexed_facts() == base.graph.size();
       result_.graph = std::move(base.graph);
+      if (index_covers_base) store_.SeedPositionIndex(*base.position_index);
       result_.stats = base.stats;
       // chase.join.* of an extension count its own rule executions only.
       result_.stats.skipped_rules = 0;
@@ -240,7 +247,7 @@ class ChaseRun {
         aggregates_ = *base.aggregate_state;  // deep copy before mutating
       }
       for (FactId id = 0; id < result_.graph.size(); ++id) {
-        store_.OnNewFact(id);
+        if (!index_covers_base) store_.OnNewFact(id);
         for (const Value& arg : result_.graph.node(id).fact.args) {
           if (arg.is_labeled_null()) {
             next_null_id_ =
@@ -297,23 +304,14 @@ class ChaseRun {
                            "constraint check");
       auto callback = [this, &plan, &probe](const BodyMatch& match) -> Status {
         TEMPLEX_RETURN_IF_ERROR(probe.Check());
-        for (const Atom& atom : plan.rule->negative_body) {
-          if (!NegatedAtomHolds(atom, match.binding)) return Status::OK();
-        }
-        Binding binding = match.binding;
-        for (const Assignment& a : plan.rule->assignments) {
-          Result<Value> v = a.expr->Eval(binding);
-          if (!v.ok()) return v.status();
-          binding.Set(a.variable, std::move(v).value());
-        }
-        for (const Condition* c : plan.pre_conditions) {
-          Result<bool> pass = c->Eval(binding);
-          if (!pass.ok()) return pass.status();
-          if (!pass.value()) return Status::OK();
-        }
+        bool pass = false;
+        TEMPLEX_RETURN_IF_ERROR(EvalMatch(plan, match.slots, &pass));
+        if (!pass) return Status::OK();
+        // A constraint has no aggregate and no head: its binding names are
+        // exactly the body and assignment variables.
         ConstraintViolation violation;
         violation.rule_label = plan.rule->label;
-        violation.binding = std::move(binding);
+        violation.binding.AssignSlots(plan.binding_names, match.slots);
         violation.facts = match.facts;
         if (config_.fail_on_violation) {
           return Status::FailedPrecondition("constraint violated: " +
@@ -384,9 +382,16 @@ class ChaseRun {
   // SymbolTable — in Extend the base graph, table included, is moved in
   // after Prepare() — and before any rule enumeration.
   void CompilePlans() {
+    size_t max_slots = 0;
     for (RulePlan& plan : plans_) {
       CompileMatchPlan(&plan, &result_.graph.symbols());
+      max_slots = std::max(max_slots,
+                           static_cast<size_t>(plan.num_binding_slots()));
     }
+    for (RulePlan& plan : plans_) {
+      ResolveNegatedPredicates(&plan, result_.graph.symbols());
+    }
+    apply_slots_.resize(max_slots);
   }
 
   Result<ChaseResult> Finalize() {
@@ -1084,16 +1089,12 @@ class ChaseRun {
     return Status::OK();
   }
 
-  // A head instantiation buffered by a parallel match task, awaiting the
-  // sequential apply phase.
-  struct PendingHead {
-    Binding binding;
-    std::vector<FactId> facts;
-  };
-
   // One unit of parallel match work: enumerate a rule over one id window
   // and buffer the surviving head instantiations. Tasks share no mutable
   // state; their outputs are folded in by the driving thread afterwards.
+  // Heads are buffered flat: head k owns values [k * num_eval_slots,
+  // (k + 1) * num_eval_slots) — its body and assignment slots — and facts
+  // [k * body.size(), (k + 1) * body.size()).
   struct MatchTask {
     const RulePlan* plan = nullptr;
     MatchWindow window;
@@ -1102,7 +1103,9 @@ class ChaseRun {
     Status status;
     int64_t matches = 0;  // homomorphisms enumerated (pre-filter)
     double seconds = 0.0;  // wall time on the worker (metrics runs only)
-    std::vector<PendingHead> heads;
+    int64_t heads = 0;
+    std::vector<Value> values;
+    std::vector<FactId> facts;
   };
 
   // Splits one rule execution's passes into windowed tasks, appended in
@@ -1176,13 +1179,14 @@ class ChaseRun {
         [this, task, &probe](const BodyMatch& match) -> Status {
           TEMPLEX_RETURN_IF_ERROR(probe.Check());
           ++task->matches;
-          std::optional<Binding> binding;
-          TEMPLEX_RETURN_IF_ERROR(EvalMatch(*task->plan, match, &binding));
-          if (binding.has_value()) {
-            PendingHead head;
-            head.binding = std::move(*binding);
-            head.facts = match.facts;
-            task->heads.push_back(std::move(head));
+          bool pass = false;
+          TEMPLEX_RETURN_IF_ERROR(EvalMatch(*task->plan, match.slots, &pass));
+          if (pass) {
+            task->values.insert(task->values.end(), match.slots,
+                                match.slots + task->plan->num_eval_slots);
+            task->facts.insert(task->facts.end(), match.facts.begin(),
+                               match.facts.end());
+            ++task->heads;
           }
           return Status::OK();
         });
@@ -1250,9 +1254,19 @@ class ChaseRun {
         if (profile != nullptr) {
           derive_timer.emplace(&profile->derive_seconds);
         }
-        for (PendingHead& head : task.heads) {
+        const RulePlan& plan = *task.plan;
+        const size_t num_values = static_cast<size_t>(plan.num_eval_slots);
+        const size_t num_facts = plan.body.size();
+        for (int64_t k = 0; k < task.heads; ++k) {
+          const size_t head = static_cast<size_t>(k);
+          auto values = task.values.begin() +
+                        static_cast<ptrdiff_t>(head * num_values);
+          std::move(values, values + static_cast<ptrdiff_t>(num_values),
+                    apply_slots_.begin());
           TEMPLEX_RETURN_IF_ERROR(ApplyHead(
-              *task.plan, std::move(head.binding), std::move(head.facts)));
+              plan, apply_slots_.data(),
+              std::span<const FactId>(task.facts.data() + head * num_facts,
+                                      num_facts)));
         }
       }
       if (metrics_ != nullptr) {
@@ -1267,47 +1281,28 @@ class ChaseRun {
   }
 
   // Negation-as-failure: true iff no stored fact unifies with `atom` under
-  // `binding`. Stratification guarantees the negated predicate is already
-  // saturated when this runs.
-  bool NegatedAtomHolds(const Atom& atom, const Binding& binding) const {
-    const std::vector<FactId>& candidates =
-        store_.CandidatesFor(atom, binding);
+  // the match's slots. Stratification guarantees the negated predicate is
+  // already saturated when this runs; validation guarantees every negated
+  // variable is body-bound, so each position compares against a constant
+  // or a slot.
+  bool NegatedAtomHolds(const AtomPlan& atom, const Value* slots) const {
+    const std::vector<FactId>& candidates = store_.CandidatesFor(atom, slots);
     const size_t n = candidates.size();
-    if (n == 0) return true;
-    // Fast path: when every term resolves up front (constant or bound
-    // variable — validation guarantees negated variables are body-bound, so
-    // this is the always case), candidates reduce to flat value compares
-    // with no per-candidate Binding copy.
-    const int arity = atom.arity();
-    std::vector<Value> want(static_cast<size_t>(arity));
-    bool any_unbound = false;
-    for (int pos = 0; pos < arity; ++pos) {
-      const Term& t = atom.terms[pos];
-      if (t.is_constant()) {
-        want[pos] = t.constant_value();
-      } else if (const Value* v = binding.Find(t.variable_name());
-                 v != nullptr) {
-        want[pos] = *v;
-      } else {
-        any_unbound = true;
-        break;
-      }
-    }
     for (size_t i = 0; i < n; ++i) {
       const Fact& fact = result_.graph.node(candidates[i]).fact;
-      if (any_unbound) {
-        // Unbound negated variable: full unification (handles repeated
-        // variables within the atom).
-        Binding probe = binding;
-        if (MatchAtom(atom, fact, &probe)) return false;
+      // Candidate lists are keyed by hashed position keys, so a collision
+      // can surface another predicate's facts.
+      if (fact.pred_symbol != atom.predicate || fact.arity() != atom.arity) {
         continue;
       }
-      // Candidate lists are keyed by hashed position keys, so a collision
-      // can surface another predicate's facts — check like MatchAtom does.
-      if (atom.predicate != fact.predicate || arity != fact.arity()) continue;
       bool matched = true;
-      for (int pos = 0; pos < arity && matched; ++pos) {
-        matched = want[pos] == fact.args[pos];
+      for (int pos = 0; pos < atom.arity && matched; ++pos) {
+        const TermPlan& t = atom.terms[pos];
+        if (t.is_constant) {
+          matched = t.constant == fact.args[pos];
+        } else if (t.slot >= 0) {
+          matched = slots[t.slot] == fact.args[pos];
+        }
       }
       if (matched) return false;
     }
@@ -1315,172 +1310,172 @@ class ChaseRun {
   }
 
   // Match-side half of processing a body homomorphism: negation-as-failure,
-  // assignments, and pre-aggregate conditions. Reads only state frozen for
-  // the round (store, graph, plans), so parallel match tasks run it
-  // concurrently. On success *out holds the evaluated binding; nullopt means
-  // the match was filtered out.
-  Status EvalMatch(const RulePlan& plan, const BodyMatch& match,
-                   std::optional<Binding>* out) const {
-    out->reset();
-    for (const Atom& atom : plan.rule->negative_body) {
-      if (!NegatedAtomHolds(atom, match.binding)) return Status::OK();
+  // assignments (written into their slots), and pre-aggregate conditions.
+  // Reads only state frozen for the round (store, graph, plans), so
+  // parallel match tasks run it concurrently. The one filter for every
+  // caller: the sequential round, the parallel match tasks and the
+  // constraint sweep. *pass is false when the match was filtered out.
+  Status EvalMatch(const RulePlan& plan, Value* slots, bool* pass) const {
+    *pass = false;
+    for (const AtomPlan& atom : plan.negative_body) {
+      if (!NegatedAtomHolds(atom, slots)) return Status::OK();
     }
-    if (plan.rule->assignments.empty()) {
-      // Nothing can rebind: filter on the match binding in place and pay
-      // the Binding copy only for matches that survive the conditions.
-      for (const Condition* c : plan.pre_conditions) {
-        Result<bool> pass = c->Eval(match.binding);
-        if (!pass.ok()) return pass.status();
-        if (!pass.value()) return Status::OK();
-      }
-      *out = match.binding;
-      return Status::OK();
-    }
-    Binding binding = match.binding;
-    for (const Assignment& a : plan.rule->assignments) {
-      Result<Value> v = a.expr->Eval(binding);
+    for (const SlotAssignment& a : plan.assignments) {
+      Result<Value> v = EvalSlotExpr(a.expr, slots);
       if (!v.ok()) return v.status();
-      binding.Set(a.variable, std::move(v).value());
+      slots[a.slot] = std::move(v).value();
     }
-    for (const Condition* c : plan.pre_conditions) {
-      Result<bool> pass = c->Eval(binding);
-      if (!pass.ok()) return pass.status();
-      if (!pass.value()) return Status::OK();
+    for (const SlotCondition& c : plan.pre_condition_plans) {
+      Result<bool> holds = EvalSlotCondition(c, slots);
+      if (!holds.ok()) return holds.status();
+      if (!holds.value()) return Status::OK();
     }
-    *out = std::move(binding);
+    *pass = true;
     return Status::OK();
   }
 
   // Apply-side half: aggregation state updates and head emission, which
   // mutate the graph/store/aggregates and therefore always run on the
-  // driving thread, in canonical match order.
-  Status ApplyHead(const RulePlan& plan, Binding binding,
-                   std::vector<FactId> facts) {
+  // driving thread, in canonical match order. `slots` holds the filtered
+  // match (RulePlan::num_eval_slots values) with room for the rest of the
+  // rule's binding slots.
+  Status ApplyHead(const RulePlan& plan, Value* slots,
+                   std::span<const FactId> facts) {
     if (plan.rule->has_aggregate()) {
-      return ProcessAggregateMatch(plan, binding, facts);
+      return ProcessAggregateMatch(plan, slots, facts);
     }
-    return EmitHead(plan, std::move(binding), std::move(facts), {});
+    return EmitHead(plan, slots, facts, nullptr);
   }
 
   Status ProcessMatch(const RulePlan& plan, const BodyMatch& match) {
-    if (plan.rule->has_aggregate() && plan.rule->assignments.empty()) {
-      // Sequential aggregate fast path: filter and contribute straight off
-      // the enumerator's scratch binding — ProcessAggregateMatch copies a
-      // Binding only when the group actually emits. Mirrors EvalMatch's
-      // no-assignment filtering; keep the two in sync.
-      for (const Atom& atom : plan.rule->negative_body) {
-        if (!NegatedAtomHolds(atom, match.binding)) return Status::OK();
-      }
-      for (const Condition* c : plan.pre_conditions) {
-        Result<bool> pass = c->Eval(match.binding);
-        if (!pass.ok()) return pass.status();
-        if (!pass.value()) return Status::OK();
-      }
-      return ProcessAggregateMatch(plan, match.binding, match.facts);
-    }
-    std::optional<Binding> binding;
-    TEMPLEX_RETURN_IF_ERROR(EvalMatch(plan, match, &binding));
-    if (!binding.has_value()) return Status::OK();
-    return ApplyHead(plan, std::move(*binding), match.facts);
+    bool pass = false;
+    TEMPLEX_RETURN_IF_ERROR(EvalMatch(plan, match.slots, &pass));
+    if (!pass) return Status::OK();
+    return ApplyHead(plan, match.slots, match.facts);
   }
 
-  Status ProcessAggregateMatch(const RulePlan& plan, const Binding& binding,
-                               const std::vector<FactId>& facts) {
+  Status ProcessAggregateMatch(const RulePlan& plan, Value* slots,
+                               std::span<const FactId> facts) {
     // Stopped before EmitHead so head-creation time is not double-counted.
     std::optional<ScopedTimer> phase_timer;
     if (metrics_ != nullptr) phase_timer.emplace(&aggregate_seconds_);
     const Aggregate& agg = *plan.rule->aggregate;
-    const Value* input = binding.Find(agg.input_variable);
-    if (input == nullptr) {
+    if (plan.input_slot < 0) {
       return Status::Internal("aggregate input unbound in rule '" +
                               plan.rule->label + "'");
     }
-    if (agg.function != AggregateFunction::kCount && !input->is_numeric()) {
+    const Value& input = slots[plan.input_slot];
+    if (agg.function != AggregateFunction::kCount && !input.is_numeric()) {
       return Status::InvalidArgument(
           "non-numeric aggregate input in rule '" + plan.rule->label +
-          "': " + input->ToString());
+          "': " + input.ToString());
     }
-    auto key_of = [&binding](const std::vector<std::string>& vars) {
-      std::vector<Value> key;
-      key.reserve(vars.size());
-      for (const std::string& v : vars) {
-        const Value* bound = binding.Find(v);
-        key.push_back(bound != nullptr ? *bound : Value::Null());
+    auto fill_key = [slots](const std::vector<int>& key_slots,
+                            std::vector<Value>* key) {
+      key->resize(key_slots.size());
+      for (size_t i = 0; i < key_slots.size(); ++i) {
+        (*key)[i] = key_slots[i] >= 0 ? slots[key_slots[i]] : Value::Null();
       }
-      return key;
     };
-    std::vector<Value> group_key = key_of(plan.group_vars);
-    std::vector<Value> contributor_key = key_of(plan.contributor_vars);
-    std::optional<AggregateEmission> emission = aggregates_.Contribute(
-        plan.index, agg.function, plan.explicit_contributor_keys, group_key,
-        contributor_key, *input, facts);
-    if (emission.has_value() && ckpt_ != nullptr) {
-      // An emission is returned exactly when the group's state changed,
-      // and the stored entry is then (input, parents) — journal the update
-      // before post-conditions, which filter the head but not the state.
+    fill_key(plan.group_slots, &group_key_scratch_);
+    fill_key(plan.contributor_slots, &contributor_key_scratch_);
+    AggregateState::GroupRef group;
+    std::optional<Value> aggregate = aggregates_.Contribute(
+        plan.index, agg.function, plan.explicit_contributor_keys,
+        group_key_scratch_, contributor_key_scratch_, input, facts, &group);
+    if (!aggregate.has_value()) return Status::OK();
+    if (ckpt_ != nullptr) {
+      // The group's state changed, and the stored entry is now (input,
+      // parents) — journal the update before post-conditions, which
+      // filter the head but not the state.
       AggregateEntryRecord record;
       record.rule_index = plan.index;
-      record.group_key = std::move(group_key);
-      record.contributor_key = std::move(contributor_key);
-      record.value = *input;
-      record.parents = facts;
+      record.group_key = group_key_scratch_;
+      record.contributor_key = contributor_key_scratch_;
+      record.value = input;
+      record.parents.assign(facts.begin(), facts.end());
       pending_aggregates_.push_back(std::move(record));
     }
-    if (!emission.has_value()) return Status::OK();
-    Binding out = binding;
-    out.Set(agg.result_variable, emission->aggregate);
-    for (const Condition* c : plan.post_conditions) {
-      Result<bool> pass = c->Eval(out);
-      if (!pass.ok()) return pass.status();
-      if (!pass.value()) return Status::OK();
+    slots[plan.result_slot] = std::move(*aggregate);
+    for (const SlotCondition& c : plan.post_condition_plans) {
+      Result<bool> holds = EvalSlotCondition(c, slots);
+      if (!holds.ok()) return holds.status();
+      if (!holds.value()) return Status::OK();
     }
     if (phase_timer.has_value()) phase_timer->Stop();
-    return EmitHead(plan, std::move(out), emission->all_parents,
-                    std::move(emission->contributions));
+    return EmitHead(plan, slots, facts, &group);
   }
 
-  Status EmitHead(const RulePlan& plan, Binding binding,
-                  std::vector<FactId> parents,
-                  std::vector<AggregateContribution> contributions) {
+  // Existential reuse (restricted-chase style): true iff some stored fact
+  // of the head predicate agrees with the head atom on every position the
+  // body binds — then no new fact (with fresh nulls) is invented. Probes
+  // the position index on the bound positions.
+  bool HeadAlreadySatisfied(const RulePlan& plan, const Value* slots) const {
+    const AtomPlan& head = plan.head;
+    const std::vector<FactId>& candidates = store_.CandidatesFor(head, slots);
+    const size_t n = candidates.size();
+    for (size_t i = 0; i < n; ++i) {
+      const Fact& existing = result_.graph.node(candidates[i]).fact;
+      if (existing.pred_symbol != head.predicate ||
+          existing.arity() != head.arity) {
+        continue;
+      }
+      bool agrees = true;
+      for (int pos = 0; pos < head.arity && agrees; ++pos) {
+        const TermPlan& t = head.terms[pos];
+        if (t.is_constant) {
+          agrees = t.constant == existing.args[pos];
+        } else if (t.bound_at_entry) {
+          agrees = slots[t.slot] == existing.args[pos];
+        }
+      }
+      if (agrees) return true;
+    }
+    return false;
+  }
+
+  // Instantiates the head over the slots and adds it unless present. The
+  // chase graph is probed once; the node's binding, parents and
+  // contributions are materialized only for a new fact (and, for a
+  // duplicate, only if MaybeRecordAlternative keeps it). `group` names the
+  // aggregate group whose provenance the head carries; null for rules
+  // without an aggregate, whose parents are the match's facts.
+  Status EmitHead(const RulePlan& plan, Value* slots,
+                  std::span<const FactId> facts,
+                  const AggregateState::GroupRef* group) {
     std::optional<ScopedTimer> phase_timer;
     if (metrics_ != nullptr) phase_timer.emplace(&head_seconds_);
-    const Atom& head = plan.rule->head;
-    // Existential reuse (restricted-chase style): if some existing fact of
-    // the head predicate agrees with the head atom on all positions bound by
-    // the body, no new fact (with fresh nulls) is invented.
-    if (!plan.existential_vars.empty()) {
-      for (FactId id : result_.graph.FactsOf(plan.head_predicate)) {
-        const Fact& existing = result_.graph.node(id).fact;
-        bool agrees = true;
-        for (int pos = 0; pos < head.arity() && agrees; ++pos) {
-          const Term& t = head.terms[pos];
-          if (t.is_constant()) {
-            agrees = t.constant_value() == existing.args[pos];
-          } else if (const Value* v = binding.Find(t.variable_name());
-                     v != nullptr) {
-            agrees = *v == existing.args[pos];
-          }
-        }
-        if (agrees) return Status::OK();
-      }
+    if (plan.has_existentials() && HeadAlreadySatisfied(plan, slots)) {
+      return Status::OK();
     }
     Fact fact;
-    fact.predicate = head.predicate;
-    fact.args.reserve(head.terms.size());
-    for (const Term& t : head.terms) {
-      if (t.is_constant()) {
-        fact.args.push_back(t.constant_value());
+    fact.predicate = plan.rule->head.predicate;
+    fact.args.reserve(plan.head.terms.size());
+    for (const TermPlan& t : plan.head.terms) {
+      if (t.is_constant) {
+        fact.args.push_back(t.constant);
         continue;
       }
-      const Value* v = binding.Find(t.variable_name());
-      if (v == nullptr) {
-        Value null = Value::LabeledNull(next_null_id_++);
-        binding.Set(t.variable_name(), null);  // invalidates `v`, not `null`
-        fact.args.push_back(std::move(null));
-        continue;
-      }
-      fact.args.push_back(*v);
+      if (t.binds) slots[t.slot] = Value::LabeledNull(next_null_id_++);
+      fact.args.push_back(slots[t.slot]);
     }
+    const size_t hash = fact.Hash();
+    const std::optional<FactId> existing = result_.graph.Find(fact, hash);
+    obs::RuleProfile* profile = ProfileFor(plan);
+    if (existing.has_value()) {
+      if (plan.firings_counter != nullptr) plan.firings_counter->Increment();
+      if (plan.duplicates_counter != nullptr) {
+        plan.duplicates_counter->Increment();
+      }
+      if (profile != nullptr) {
+        ++profile->firings;
+        ++profile->duplicates;
+      }
+      MaybeRecordAlternative(*existing, plan, slots, facts, group);
+      return Status::OK();
+    }
+    // Only a new fact grows the chase, so only a new fact can trip the cap:
+    // a fixpoint of exactly max_facts facts completes.
     if (result_.graph.size() >= config_.max_facts) {
       return LimitTripped(
           "max_facts", config_.max_facts,
@@ -1494,42 +1489,48 @@ class ChaseRun {
     node.fact = std::move(fact);
     node.rule_index = plan.index;
     node.rule_label = plan.rule->label;
-    node.binding = std::move(binding);
-    node.parents = std::move(parents);
-    node.contributions = std::move(contributions);
-    auto [id, inserted] = result_.graph.AddNode(node);
-    obs::RuleProfile* profile = ProfileFor(plan);
+    node.binding.AssignSlots(plan.binding_names, slots);
+    if (group != nullptr) {
+      aggregates_.UnionParents(*group, &parents_scratch_);
+      node.parents.assign(parents_scratch_.begin(), parents_scratch_.end());
+      aggregates_.Contributions(*group, &node.contributions);
+    } else {
+      node.parents.assign(facts.begin(), facts.end());
+    }
+    const FactId id = result_.graph.Insert(std::move(node), hash);
+    store_.OnNewFact(id);
     if (plan.firings_counter != nullptr) plan.firings_counter->Increment();
     if (profile != nullptr) ++profile->firings;
-    if (inserted) {
-      store_.OnNewFact(id);
-    } else {
-      if (plan.duplicates_counter != nullptr) {
-        plan.duplicates_counter->Increment();
-      }
-      if (profile != nullptr) ++profile->duplicates;
-      MaybeRecordAlternative(id, std::move(node));
-    }
     return Status::OK();
   }
 
   // Keeps a bounded list of distinct, acyclic re-derivations of an existing
-  // fact (other reasoning stories for the analyst).
-  void MaybeRecordAlternative(FactId id, ChaseNode candidate) {
+  // fact (other reasoning stories for the analyst). The cap is checked
+  // before anything is materialized; the candidate's parents are built in
+  // scratch, and its binding and contributions only once it is recorded.
+  void MaybeRecordAlternative(FactId id, const RulePlan& plan,
+                              const Value* slots,
+                              std::span<const FactId> facts,
+                              const AggregateState::GroupRef* group) {
     if (config_.max_alternative_derivations <= 0) return;
     ChaseNode& existing = result_.graph.mutable_node(id);
     if (static_cast<int>(existing.alternatives.size()) >=
         config_.max_alternative_derivations) {
       return;
     }
+    std::vector<FactId>& parents = parents_scratch_;
+    if (group != nullptr) {
+      aggregates_.UnionParents(*group, &parents);
+    } else {
+      parents.assign(facts.begin(), facts.end());
+    }
     // Distinctness first: re-finding an already-recorded derivation is by
     // far the common case (aggregates re-emit their group every round), and
     // comparing (rule, parents) is a few int compares — the ancestor walk
     // below is O(sub-graph) and must only run for genuinely new stories.
-    auto same = [&candidate](int rule_index,
-                             const std::vector<FactId>& parents) {
-      return candidate.rule_index == rule_index &&
-             candidate.parents == parents;
+    auto same = [&plan, &parents](int rule_index,
+                                  const std::vector<FactId>& other) {
+      return plan.index == rule_index && parents == other;
     };
     if (same(existing.rule_index, existing.parents)) return;
     for (const Derivation& alt : existing.alternatives) {
@@ -1539,17 +1540,19 @@ class ChaseRun {
     // derivations) depend on the fact itself, or proofs built from the
     // alternative would loop. Ids are no proxy here — a fact derived later
     // can still be independent.
-    for (FactId parent : candidate.parents) {
+    for (FactId parent : parents) {
       if (result_.graph.DependsOn(parent, id)) return;
     }
     Derivation derivation;
-    derivation.rule_index = candidate.rule_index;
-    derivation.rule_label = std::move(candidate.rule_label);
-    derivation.binding = std::move(candidate.binding);
-    derivation.parents = std::move(candidate.parents);
-    derivation.contributions = std::move(candidate.contributions);
+    derivation.rule_index = plan.index;
+    derivation.rule_label = plan.rule->label;
+    derivation.binding.AssignSlots(plan.binding_names, slots);
+    derivation.parents.assign(parents.begin(), parents.end());
+    if (group != nullptr) {
+      aggregates_.Contributions(*group, &derivation.contributions);
+    }
     existing.alternatives.push_back(std::move(derivation));
-    // AddNode charged the node without this alternative; account the growth
+    // Insert charged the node without this alternative; account the growth
     // so the governed footprint matches a restore (whose nodes arrive with
     // alternatives attached and are charged whole).
     result_.graph.AddApproxBytes(ApproxBytes(existing.alternatives.back()));
@@ -1580,6 +1583,14 @@ class ChaseRun {
   AggregateState aggregates_;
   std::vector<RulePlan> plans_;
   int64_t next_null_id_ = 1;
+  // Driving-thread scratch of the apply side, reused across matches: the
+  // slot array a buffered parallel head is replayed in (sized for the
+  // widest plan by CompilePlans), the aggregate keys, and a candidate's
+  // parents before they are known to be kept.
+  std::vector<Value> apply_slots_;
+  std::vector<Value> group_key_scratch_;
+  std::vector<Value> contributor_key_scratch_;
+  std::vector<FactId> parents_scratch_;
   // Checkpointing state (Run() with ChaseConfig::checkpoint enabled; null /
   // empty otherwise). The watermarks delimit what the next delta carries;
   // the pending lists capture mutations of pre-watermark state that a

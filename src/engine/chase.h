@@ -46,7 +46,9 @@ struct ChaseConfig {
   // caps act as guard rails for mis-specified inputs). 64-bit like
   // ChaseStats: fact counts outgrow int at the ROADMAP's target scale.
   int64_t max_rounds = 100000;
-  // Hard cap on the total number of facts (extensional + derived).
+  // Hard cap on the total number of facts (extensional + derived). Only a
+  // head that would add a new fact trips it, so a chase whose fixpoint
+  // holds exactly max_facts facts completes.
   int64_t max_facts = 5000000;
   // When false, every round re-evaluates all rules over the whole database
   // (naive evaluation); used by the ablation benchmarks.

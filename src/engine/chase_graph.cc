@@ -49,10 +49,13 @@ int64_t ApproxBytes(const ChaseNode& node) {
 
 std::pair<FactId, bool> ChaseGraph::AddNode(ChaseNode node) {
   const size_t hash = node.fact.Hash();
-  auto [first, last] = index_.equal_range(hash);
-  for (auto it = first; it != last; ++it) {
-    if (nodes_[it->second].fact == node.fact) return {it->second, false};
+  if (std::optional<FactId> existing = Find(node.fact, hash)) {
+    return {*existing, false};
   }
+  return {Insert(std::move(node), hash), true};
+}
+
+FactId ChaseGraph::Insert(ChaseNode node, size_t hash) {
   const FactId id = static_cast<FactId>(nodes_.size());
   node.fact.pred_symbol = symbols_.Intern(node.fact.predicate);
   if (node.fact.pred_symbol >= static_cast<Symbol>(by_predicate_.size())) {
@@ -61,12 +64,23 @@ std::pair<FactId, bool> ChaseGraph::AddNode(ChaseNode node) {
   by_predicate_[node.fact.pred_symbol].push_back(id);
   index_.emplace(hash, id);
   approx_bytes_ += ApproxBytes(node) + kPerNodeIndexBytes;
+  int32_t level = 0;
+  for (FactId parent : node.parents) {
+    if (parent >= 0 && parent < id) {
+      level = std::max(level, levels_[parent] + 1);
+    }
+  }
+  levels_.push_back(level);
   nodes_.push_back(std::move(node));
-  return {id, true};
+  return id;
 }
 
 std::optional<FactId> ChaseGraph::Find(const Fact& fact) const {
-  auto [first, last] = index_.equal_range(fact.Hash());
+  return Find(fact, fact.Hash());
+}
+
+std::optional<FactId> ChaseGraph::Find(const Fact& fact, size_t hash) const {
+  auto [first, last] = index_.equal_range(hash);
   for (auto it = first; it != last; ++it) {
     if (nodes_[it->second].fact == fact) return it->second;
   }
@@ -94,19 +108,31 @@ std::vector<FactId> ChaseGraph::AncestorClosure(FactId id) const {
 bool ChaseGraph::DependsOn(FactId node, FactId target) const {
   if (target > node) return false;  // ancestors only have smaller ids
   if (target == node) return true;
-  // Only ids in (target, node] can lie on a path to target; track visits
-  // over just that range.
-  const FactId base = target + 1;
-  std::vector<bool> seen(static_cast<size_t>(node - target), false);
-  std::vector<FactId> stack = {node};
+  const int32_t floor = levels_[target];
+  if (levels_[node] <= floor) return false;
+  // Visit marks by epoch: one stamp per id, reused across calls on this
+  // thread, so a walk costs what it visits rather than the id range.
+  thread_local std::vector<uint32_t> stamp;
+  thread_local uint32_t epoch = 0;
+  thread_local std::vector<FactId> stack;
+  if (stamp.size() < nodes_.size()) stamp.resize(nodes_.size(), 0);
+  if (++epoch == 0) {  // wrapped: old marks could alias the new epoch
+    std::fill(stamp.begin(), stamp.end(), 0);
+    epoch = 1;
+  }
+  stack.clear();
+  stack.push_back(node);
   while (!stack.empty()) {
     const FactId current = stack.back();
     stack.pop_back();
-    if (current == target) return true;
-    if (current < base) continue;  // below target: no way back up
-    if (seen[current - base]) continue;
-    seen[current - base] = true;
-    for (FactId parent : nodes_[current].parents) stack.push_back(parent);
+    for (FactId parent : nodes_[current].parents) {
+      if (parent == target) return true;
+      // Below target's id or level: no way back up to it.
+      if (parent < target || levels_[parent] <= floor) continue;
+      if (stamp[parent] == epoch) continue;
+      stamp[parent] = epoch;
+      stack.push_back(parent);
+    }
   }
   return false;
 }

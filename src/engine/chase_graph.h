@@ -92,6 +92,13 @@ class ChaseGraph {
   // Id of an existing fact, if present.
   std::optional<FactId> Find(const Fact& fact) const;
 
+  // One-probe insertion for callers that build a node only for a new fact:
+  // Find with the fact's precomputed hash (`hash` == fact.Hash()), then —
+  // on a miss — Insert the node under the same hash. Insert requires that
+  // the fact is absent; it does everything AddNode does for a new fact.
+  std::optional<FactId> Find(const Fact& fact, size_t hash) const;
+  FactId Insert(ChaseNode node, size_t hash);
+
   const ChaseNode& node(FactId id) const { return nodes_[id]; }
   ChaseNode& mutable_node(FactId id) { return nodes_[id]; }
 
@@ -104,9 +111,12 @@ class ChaseGraph {
   // True iff `target` is in AncestorClosure(node) — node transitively
   // depends on target along primary derivations (node == target counts).
   // Equivalent to a membership test on AncestorClosure but far cheaper for
-  // a negative or shallow answer: primary parents always precede their
-  // node, so the walk prunes every branch that drops below `target`
-  // instead of materializing the closure down to the extensional facts.
+  // a negative or shallow answer. Every primary derivation step strictly
+  // lowers the derivation level (levels_), so a node at a level no
+  // higher than target's cannot depend on it: that test answers most calls
+  // without a walk, and prunes the walk that remains, together with every
+  // branch that drops below `target`'s id. The walk reuses per-thread
+  // scratch rather than allocating per call.
   // Precondition: every node's primary parents have smaller ids — true for
   // any graph built by the chase, but not for WithAlternative copies,
   // whose swapped-in primaries may point forward.
@@ -144,6 +154,10 @@ class ChaseGraph {
 
  private:
   std::vector<ChaseNode> nodes_;
+  // Primary-derivation level per node: 0 without parents, otherwise one
+  // more than the highest primary parent's. Computed at insertion from the
+  // parents that precede the node (all of them, for a chase-built graph).
+  std::vector<int32_t> levels_;
   // Dedup index keyed by the fact's (cached-at-insert) hash; candidates are
   // verified against nodes_, so a 64-bit collision costs one extra compare,
   // never a wrong merge. Storing ids instead of Fact keys halves the memory

@@ -55,6 +55,12 @@ class FactStore {
 
   const PositionIndex& position_index() const { return index_; }
 
+  // Replaces the position index with a copy of `index`, which must cover
+  // exactly the graph's current nodes (index.indexed_facts() == graph
+  // size): the same state OnNewFact over every node would build, without
+  // re-hashing a single argument. Extend seeds from its base this way.
+  void SeedPositionIndex(const PositionIndex& index) { index_ = index; }
+
   // Hands the position index over (ChaseResult::position_index) and leaves
   // this store without one: call only once the run is done with the store.
   PositionIndex TakePositionIndex() { return std::move(index_); }

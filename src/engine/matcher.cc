@@ -14,9 +14,10 @@ class MatchEnumerator {
         graph_(graph),
         window_(window),
         callback_(callback),
-        slots_(static_cast<size_t>(plan.num_slots())) {}
+        slots_(static_cast<size_t>(plan.num_binding_slots())) {}
 
   Status Run() {
+    match_.slots = slots_.data();
     match_.facts.reserve(plan_.body.size());
     return Descend(0);
   }
@@ -57,11 +58,7 @@ class MatchEnumerator {
 
   Status Descend(size_t atom_index) {
     if (atom_index == plan_.body.size()) {
-      // Every slot is bound here (each came from some body atom), so the
-      // name-keyed binding handed to the callback is total. Slot order is
-      // first-occurrence order, matching the old string matcher's append
-      // order byte for byte.
-      match_.binding.AssignSlots(plan_.slot_names, slots_.data());
+      // Every body slot is bound here (each came from some body atom).
       return callback_(match_);
     }
     const AtomPlan& atom = plan_.body[atom_index];
@@ -91,8 +88,9 @@ class MatchEnumerator {
   // Scratch match state: per-slot values. Bound-ness never needs tracking
   // at runtime — it is a compile-time property of each TermPlan (binds /
   // bound_at_entry), so backtracking is free: stale slot values left by a
-  // failed candidate are unreachable until re-written. The BodyMatch is
-  // materialized from the slots only at full-match depth.
+  // failed candidate are unreachable until re-written. Sized for the
+  // plan's binding slots: the tail past the body slots is the callback's
+  // scratch (BodyMatch::slots).
   std::vector<Value> slots_;
   BodyMatch match_;
 };

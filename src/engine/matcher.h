@@ -10,14 +10,21 @@
 
 namespace templex {
 
-// One homomorphism from a rule body into the database: the variable binding
-// and the matched facts, in body-atom order.
+// One homomorphism from a rule body into the database: the variable values
+// by slot and the matched facts, in body-atom order.
+//
+// `slots` holds plan.num_binding_slots() values. The first
+// plan.num_slots() are the body variables (RulePlan::slot_names); the rest
+// are the callback's scratch for the apply side — assignments, the
+// aggregate result, existential nulls — which the enumerator never reads.
+// A name-keyed Binding is materialized only by callers that keep one
+// (Binding::AssignSlots over RulePlan::binding_names).
 //
 // The BodyMatch handed to an enumeration callback aliases the enumerator's
 // scratch state — it is only valid for the duration of the callback; copy
 // what outlives it.
 struct BodyMatch {
-  Binding binding;
+  Value* slots = nullptr;
   std::vector<FactId> facts;
 };
 
@@ -53,12 +60,11 @@ struct MatchWindow {
 // Enumeration order is deterministic (fact-id order per atom).
 //
 // This is the chase hot path: the plan must be compiled
-// (CompileMatchPlan), candidate unification runs over dense value slots —
-// integer predicate compares, slot-indexed loads, an undo trail for
-// backtracking — and a name-keyed Binding is materialized only when a full
-// body match reaches the callback. Variables enter the binding in slot
-// order, which is first-occurrence order across body atoms: byte-identical
-// to what the string-keyed matcher produced.
+// (CompileMatchPlan), and candidate unification runs over dense value
+// slots — integer predicate compares, slot-indexed loads, no undo trail —
+// with no variable name in sight. Slot order is first-occurrence order
+// across body atoms, so a Binding materialized from the slots is
+// byte-identical to what the string-keyed matcher produced.
 //
 // Read-only over `store` and `graph`: concurrent enumerations over the
 // same frozen store are safe (the parallel match phase relies on this).

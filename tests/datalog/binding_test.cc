@@ -74,5 +74,16 @@ TEST(BindingTest, ToStringFormat) {
   EXPECT_EQ(binding.ToString(), "{x=\"A\", s=0.6}");
 }
 
+TEST(BindingTest, AssignSlotsRebuildsInSlotOrder) {
+  Binding binding;
+  binding.Set("stale", Value::Int(1));
+  const std::vector<std::string> names = {"x", "z", "ts"};
+  const Value values[] = {Value::String("A"), Value::String("B"),
+                          Value::Double(0.6)};
+  binding.AssignSlots(names, values);
+  EXPECT_EQ(binding.ToString(), "{x=\"A\", z=\"B\", ts=0.6}");
+  EXPECT_EQ(binding.entries().capacity(), names.size());
+}
+
 }  // namespace
 }  // namespace templex

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
+
 namespace templex {
 namespace {
 
@@ -89,6 +93,34 @@ TEST(ChaseGraphTest, ToDotRestrictedToGoal) {
   graph.AddNode(Node({"Unrelated", {}}));
   std::string dot = graph.ToDot(1);
   EXPECT_EQ(dot.find("Unrelated"), std::string::npos);
+}
+
+// DependsOn's level test and level-pruned walk must answer exactly like
+// membership in AncestorClosure, on a random chase-shaped DAG (parents
+// precede their node) with shared ancestors and independent late facts.
+TEST(ChaseGraphTest, DependsOnAgreesWithAncestorClosure) {
+  ChaseGraph graph;
+  Rng rng(5);
+  constexpr int kNodes = 240;
+  for (int id = 0; id < kNodes; ++id) {
+    std::vector<FactId> parents;
+    if (id >= 8) {
+      const int count = static_cast<int>(rng.NextInt(0, 4));
+      for (int k = 0; k < count; ++k) {
+        parents.push_back(static_cast<FactId>(rng.NextInt(0, id - 1)));
+      }
+    }
+    graph.AddNode(Node({"P", {Value::Int(id)}}, parents, "r"));
+  }
+  for (FactId node = 0; node < kNodes; ++node) {
+    const std::vector<FactId> closure = graph.AncestorClosure(node);
+    for (FactId target = 0; target < kNodes; ++target) {
+      const bool want =
+          std::binary_search(closure.begin(), closure.end(), target);
+      ASSERT_EQ(graph.DependsOn(node, target), want)
+          << "node " << node << " target " << target;
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/generators.h"
 #include "apps/programs.h"
+#include "common/rng.h"
 #include "datalog/parser.h"
 
 namespace templex {
@@ -219,6 +221,38 @@ s: Num(x), y = x + 1 -> Num(y).
   auto result = ChaseEngine(config).Run(program, {{"Num", {I(0)}}});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+// The cap counts facts the chase holds, so it only binds when a head is
+// new: a fixpoint of exactly max_facts facts completes (re-deriving an
+// existing fact at the cap is a duplicate, not growth), and one fact less
+// still trips.
+TEST(ChaseTest, MaxFactsAdmitsAFixpointOfExactlyTheCap) {
+  const Program program = CompanyControlProgram();
+  OwnershipNetworkOptions options;
+  options.companies = 100;
+  options.chains = 11;
+  options.chain_length = 5;
+  options.stars = 7;
+  options.noise_edges = 200;
+  Rng rng(7);
+  const std::vector<Fact> edb = GenerateOwnershipNetwork(options, &rng);
+  auto unlimited = ChaseEngine().Run(program, edb);
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  const int fixpoint = unlimited.value().graph.size();
+
+  ChaseConfig exact;
+  exact.max_facts = fixpoint;
+  auto capped = ChaseEngine(exact).Run(program, edb);
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_EQ(capped.value().graph.size(), fixpoint);
+  EXPECT_EQ(capped.value().stats.matches, unlimited.value().stats.matches);
+
+  ChaseConfig short_by_one;
+  short_by_one.max_facts = fixpoint - 1;
+  auto tripped = ChaseEngine(short_by_one).Run(program, edb);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ChaseTest, InvalidProgramRejected) {

@@ -42,15 +42,25 @@ class MatcherTest : public ::testing::Test {
     return window;
   }
 
-  std::vector<BodyMatch> Enumerate(const Rule& rule, int delta_atom,
-                                   FactId delta_begin, FactId limit) {
-    std::vector<BodyMatch> matches;
-    Status status = EnumerateMatches(Plan(rule), store_, graph_,
-                                     Window(delta_atom, delta_begin, limit),
-                                     [&matches](const BodyMatch& m) {
-                                       matches.push_back(m);
-                                       return Status::OK();
-                                     });
+  // A BodyMatch outlived: its body slots materialized as a Binding.
+  struct Match {
+    Binding binding;
+    std::vector<FactId> facts;
+  };
+
+  std::vector<Match> Enumerate(const Rule& rule, int delta_atom,
+                               FactId delta_begin, FactId limit) {
+    std::vector<Match> matches;
+    const RulePlan plan = Plan(rule);
+    Status status = EnumerateMatches(
+        plan, store_, graph_, Window(delta_atom, delta_begin, limit),
+        [&matches, &plan](const BodyMatch& m) {
+          Match copy;
+          copy.binding.AssignSlots(plan.slot_names, m.slots);
+          copy.facts = m.facts;
+          matches.push_back(std::move(copy));
+          return Status::OK();
+        });
     EXPECT_TRUE(status.ok()) << status.ToString();
     return matches;
   }
@@ -112,14 +122,14 @@ TEST_F(MatcherTest, SemiNaiveDeltaCoversExactlyNewCombinations) {
   Rule rule = ParseRule("P(x), Q(y) -> R(x, y).").value();
   // Union of all delta positions must cover exactly the 3 new pairs
   // (2,1), (1,2), (2,2) without duplicates.
-  std::vector<BodyMatch> all;
+  std::vector<Match> all;
   for (int pos = 0; pos < 2; ++pos) {
     auto matches = Enumerate(rule, pos, delta_begin, limit);
     all.insert(all.end(), matches.begin(), matches.end());
   }
   ASSERT_EQ(all.size(), 3u);
   int old_old = 0;
-  for (const BodyMatch& m : all) {
+  for (const Match& m : all) {
     if (*m.binding.Get("x") == Value::Int(1) &&
         *m.binding.Get("y") == Value::Int(1)) {
       ++old_old;
