@@ -422,6 +422,40 @@ void BM_MatcherEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_MatcherEnumeration)->Arg(32)->Arg(128);
 
+// The chase graph's dedup layer alone: insert N distinct ownership-shaped
+// facts into a fresh graph, then Find each of them and one absent fact —
+// the probe ApplyHead makes for every head it instantiates.
+void BM_ChaseGraphDedup(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::vector<Fact> facts;
+  facts.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    facts.push_back(Fact{"Own",
+                         {Value::String("c" + std::to_string(i / 8)),
+                          Value::String("c" + std::to_string(i)),
+                          Value::Double(1.0 / (1 + i % 8))}});
+  }
+  const Fact missing{"Own", {Value::String("c0"), Value::String("c0"),
+                             Value::Double(2.0)}};
+  for (auto _ : state) {
+    ChaseGraph graph;
+    for (const Fact& fact : facts) {
+      ChaseNode node;
+      node.fact = fact;
+      graph.AddNode(std::move(node));
+    }
+    int found = 0;
+    for (const Fact& fact : facts) found += graph.Find(fact).has_value();
+    if (found != n || graph.Find(missing).has_value()) {
+      state.SkipWithError("dedup lost or invented a fact");
+      break;
+    }
+    benchmark::DoNotOptimize(found);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ChaseGraphDedup)->Arg(16384)->Arg(131072);
+
 void BM_ProofExtraction(benchmark::State& state) {
   Program program = CompanyControlProgram();
   Rng rng(13);

@@ -35,21 +35,18 @@ bool KeyLess(const std::vector<Value>& a, const std::vector<Value>& b) {
 
 }  // namespace
 
-size_t AggregateState::GroupKeyHash::Hash(int rule,
-                                          const std::vector<Value>& key) {
-  uint64_t h = HashMix(static_cast<uint64_t>(rule));
-  for (const Value& v : key) h = HashCombine(h, v.Hash());
-  return static_cast<size_t>(h);
-}
-
 AggregateState::Group& AggregateState::FindOrAddGroup(
     int rule_index, const std::vector<Value>& group_key) {
-  auto it = groups_.find(GroupKeyView{rule_index, &group_key});
-  if (it == groups_.end()) {
-    it = groups_.emplace(GroupKey{rule_index, group_key}, Group{}).first;
-    approx_bytes_ += KeyBytes(group_key) + kEntryBytes;
-  }
-  return it->second;
+  uint64_t hash = HashMix(static_cast<uint64_t>(rule_index));
+  for (const Value& v : group_key) hash = HashCombine(hash, v.Hash());
+  const int32_t found = group_index_.Find(hash, [&](int32_t id) {
+    const Group& group = groups_[static_cast<size_t>(id)];
+    return group.rule == rule_index && group.key == group_key;
+  });
+  if (found >= 0) return groups_[static_cast<size_t>(found)];
+  group_index_.Insert(hash, static_cast<int32_t>(groups_.size()));
+  approx_bytes_ += KeyBytes(group_key) + kEntryBytes;
+  return groups_.emplace_back(Group{rule_index, group_key, {}});
 }
 
 std::vector<AggregateState::Contributor>::iterator AggregateState::LowerBound(
@@ -163,16 +160,16 @@ void AggregateState::ForEach(
     const std::function<void(int, const std::vector<Value>&,
                              const std::vector<Value>&, const Value&,
                              const std::vector<FactId>&)>& fn) const {
-  std::vector<const std::pair<const GroupKey, Group>*> ordered;
+  std::vector<const Group*> ordered;
   ordered.reserve(groups_.size());
-  for (const auto& entry : groups_) ordered.push_back(&entry);
-  std::sort(ordered.begin(), ordered.end(), [](const auto* a, const auto* b) {
-    if (a->first.rule != b->first.rule) return a->first.rule < b->first.rule;
-    return KeyLess(a->first.key, b->first.key);
+  for (const Group& group : groups_) ordered.push_back(&group);
+  std::sort(ordered.begin(), ordered.end(), [](const Group* a, const Group* b) {
+    if (a->rule != b->rule) return a->rule < b->rule;
+    return KeyLess(a->key, b->key);
   });
-  for (const auto* entry : ordered) {
-    for (const Contributor& c : entry->second.contributors) {
-      fn(entry->first.rule, entry->first.key, c.key, c.value, c.parents);
+  for (const Group* group : ordered) {
+    for (const Contributor& c : group->contributors) {
+      fn(group->rule, group->key, c.key, c.value, c.parents);
     }
   }
 }

@@ -1,12 +1,13 @@
 #ifndef TEMPLEX_ENGINE_AGGREGATE_STATE_H_
 #define TEMPLEX_ENGINE_AGGREGATE_STATE_H_
 
+#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "datalog/aggregate.h"
 #include "engine/chase_graph.h"
 
@@ -23,8 +24,10 @@ namespace templex {
 //     prod — which lets a rule aggregate running per-channel totals emitted
 //     by an upstream monotonic aggregation (σ7 of the stress test).
 //
-// Groups live in a hash map keyed by value equality (Value::operator==, so
-// Int(2) and Double(2.0) keys share a group); a group keeps its
+// Groups live in creation order in a deque, found through a FlatIndex
+// (common/flat_index.h) over the hash of (rule, key) and verified by value
+// equality (Value::operator==, so Int(2) and Double(2.0) keys share a
+// group, as their hashes agree); a group keeps its
 // contributors sorted by contributor key. That order is the one the
 // aggregate folds in (floating-point sums depend on it), the order of a
 // node's `contributions`, and the order ForEach visits.
@@ -39,7 +42,9 @@ class AggregateState {
 
  public:
   // Names the group a Contribute call landed in, for materializing its
-  // provenance right after. Valid until the next Contribute or Restore.
+  // provenance right after. Groups never move, so the reference stays
+  // valid until this state is assigned to or destroyed; it reads the
+  // group's contents at call time, which the next Contribute may change.
   class GroupRef {
    public:
     GroupRef() = default;
@@ -104,41 +109,11 @@ class AggregateState {
     std::vector<FactId> parents;
   };
 
+  // One (rule, group key) group; its index in groups_ is its FlatIndex id.
   struct Group {
-    std::vector<Contributor> contributors;  // ascending by key
-  };
-
-  struct GroupKey {
     int rule = 0;
     std::vector<Value> key;
-  };
-
-  // Lookup form of GroupKey: probes without copying the key.
-  struct GroupKeyView {
-    int rule = 0;
-    const std::vector<Value>* key = nullptr;
-  };
-
-  struct GroupKeyHash {
-    using is_transparent = void;
-    size_t operator()(const GroupKey& k) const { return Hash(k.rule, k.key); }
-    size_t operator()(const GroupKeyView& k) const {
-      return Hash(k.rule, *k.key);
-    }
-    static size_t Hash(int rule, const std::vector<Value>& key);
-  };
-
-  struct GroupKeyEq {
-    using is_transparent = void;
-    bool operator()(const GroupKey& a, const GroupKey& b) const {
-      return a.rule == b.rule && a.key == b.key;
-    }
-    bool operator()(const GroupKeyView& a, const GroupKey& b) const {
-      return a.rule == b.rule && *a.key == b.key;
-    }
-    bool operator()(const GroupKey& a, const GroupKeyView& b) const {
-      return a.rule == b.rule && a.key == *b.key;
-    }
+    std::vector<Contributor> contributors;  // ascending by key
   };
 
   // The group of (rule, key), created (and accounted) on first use.
@@ -151,7 +126,10 @@ class AggregateState {
 
   static Value Fold(AggregateFunction function, const Group& group);
 
-  std::unordered_map<GroupKey, Group, GroupKeyHash, GroupKeyEq> groups_;
+  // Deque: a new group must not move the others (GroupRef points into
+  // it), and growth never copies every group at once.
+  std::deque<Group> groups_;
+  FlatIndex group_index_;  // hash of (rule, key) -> index into groups_
   int num_rules_ = 0;
   int64_t approx_bytes_ = 0;
 };

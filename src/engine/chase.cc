@@ -1108,14 +1108,18 @@ class ChaseRun {
     std::vector<FactId> facts;
   };
 
-  // Splits one rule execution's passes into windowed tasks, appended in
-  // canonical order: pass (pivot position) ascending, then id-window
-  // ascending. Slices cut on pivot-predicate ROW boundaries — every slice
-  // carries about the same number of pivot rows even when the delta's ids
-  // cluster in one predicate — and concatenate back to the unpartitioned
-  // enumeration, so replaying task outputs in this order reproduces the
-  // sequential match order exactly, and per-task pivot_rows sums to the
-  // pass's row count at any slice count.
+  // Splits one rule execution's passes into tasks, appended in canonical
+  // order: pass (pivot position) ascending, then id-window ascending. A
+  // pass pivoting on body atom 0 is sliced on pivot-predicate ROW
+  // boundaries — every slice carries about the same number of pivot rows
+  // even when the delta's ids cluster in one predicate — and the slices
+  // concatenate back to the unpartitioned enumeration, because the pivot
+  // is the outermost loop. A pass pivoting on a later atom runs as one
+  // task: the atoms before its pivot are the outer loops, so pivot windows
+  // would interleave differently from the sequential order. Replaying
+  // task outputs in this order therefore reproduces the sequential match
+  // order exactly, and per-task pivot_rows sums to the pass's row count at
+  // any slice count.
   void PlanRuleTasks(const RulePlan& plan, const RuleExecutionPlan& eplan,
                      std::vector<MatchTask>* tasks) const {
     // A few tasks per thread so work stealing can even out skewed windows.
@@ -1135,7 +1139,8 @@ class ChaseRun {
       const size_t first = static_cast<size_t>(
           std::lower_bound(ids.begin(), ids.end(), pass.begin) - ids.begin());
       const int64_t rows = pass.pivot_rows;
-      const int64_t n = std::min(slices, rows);
+      const int64_t n = pass.pivot == 0 ? std::min(slices, rows)
+                                        : std::min<int64_t>(1, rows);
       for (int64_t s = 0; s < n; ++s) {
         const int64_t row_lo = rows * s / n;
         const int64_t row_hi = rows * (s + 1) / n;

@@ -62,7 +62,7 @@ FactId ChaseGraph::Insert(ChaseNode node, size_t hash) {
     by_predicate_.resize(node.fact.pred_symbol + 1);
   }
   by_predicate_[node.fact.pred_symbol].push_back(id);
-  index_.emplace(hash, id);
+  index_.Insert(hash, id);
   approx_bytes_ += ApproxBytes(node) + kPerNodeIndexBytes;
   int32_t level = 0;
   for (FactId parent : node.parents) {
@@ -80,11 +80,10 @@ std::optional<FactId> ChaseGraph::Find(const Fact& fact) const {
 }
 
 std::optional<FactId> ChaseGraph::Find(const Fact& fact, size_t hash) const {
-  auto [first, last] = index_.equal_range(hash);
-  for (auto it = first; it != last; ++it) {
-    if (nodes_[it->second].fact == fact) return it->second;
-  }
-  return std::nullopt;
+  const FactId id = index_.Find(
+      hash, [&](int32_t candidate) { return nodes_[candidate].fact == fact; });
+  if (id < 0) return std::nullopt;
+  return id;
 }
 
 std::vector<FactId> ChaseGraph::AncestorClosure(FactId id) const {

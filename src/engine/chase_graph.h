@@ -4,9 +4,9 @@
 #include <deque>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "datalog/binding.h"
 #include "datalog/symbol.h"
 #include "engine/fact.h"
@@ -158,11 +158,10 @@ class ChaseGraph {
   // more than the highest primary parent's. Computed at insertion from the
   // parents that precede the node (all of them, for a chase-built graph).
   std::vector<int32_t> levels_;
-  // Dedup index keyed by the fact's (cached-at-insert) hash; candidates are
+  // Dedup index: fact hash -> node id, no Fact key copies. Candidates are
   // verified against nodes_, so a 64-bit collision costs one extra compare,
-  // never a wrong merge. Storing ids instead of Fact keys halves the memory
-  // the old unordered_map<Fact, FactId> spent on key copies.
-  std::unordered_multimap<size_t, FactId> index_;
+  // never a wrong merge.
+  FlatIndex index_;
   SymbolTable symbols_;
   // pred_symbol -> ascending fact ids. Deque: growing the outer container
   // when a new predicate appears must not move existing lists — FactsOf

@@ -4,9 +4,9 @@ namespace templex {
 
 namespace {
 
-// Fixed per-bucket charge (PosBucket fields + one hash-table slot): a
-// constant keeps the accounted footprint a pure function of indexed
-// content, independent of hash-table load factor.
+// Fixed per-bucket charge (PosBucket fields + one index slot): a constant
+// keeps the accounted footprint a pure function of indexed content,
+// independent of the index's load factor.
 constexpr int64_t kPosBucketBytes = 96;
 
 }  // namespace
@@ -14,14 +14,17 @@ constexpr int64_t kPosBucketBytes = 96;
 void PositionIndex::Add(FactId id, const Fact& fact) {
   for (int pos = 0; pos < fact.arity(); ++pos) {
     const uint64_t value_hash = fact.args[pos].Hash();
-    PosBucket& bucket =
-        by_position_[PosKey(fact.pred_symbol, pos, value_hash)];
-    if (bucket.ids.empty()) {
+    const uint64_t key = PosKey(fact.pred_symbol, pos, value_hash);
+    int32_t index = FindBucket(key);
+    if (index < 0) {
+      index = static_cast<int32_t>(buckets_.size());
+      buckets_.push_back(
+          PosBucket{{}, fact.pred_symbol, pos, value_hash, false});
+      by_key_.Insert(key, index);
       bytes_ += kPosBucketBytes;
-      bucket.predicate = fact.pred_symbol;
-      bucket.position = pos;
-      bucket.value_hash = value_hash;
-    } else if (!bucket.collided &&
+    }
+    PosBucket& bucket = buckets_[static_cast<size_t>(index)];
+    if (!bucket.collided &&
                (bucket.predicate != fact.pred_symbol ||
                 bucket.position != pos || bucket.value_hash != value_hash)) {
       bucket.collided = true;
@@ -39,7 +42,7 @@ void PositionIndex::Add(FactId id, const Fact& fact) {
 
 int64_t PositionIndex::position_entries() const {
   int64_t total = 0;
-  for (const auto& [key, bucket] : by_position_) {
+  for (const PosBucket& bucket : buckets_) {
     total += static_cast<int64_t>(bucket.ids.size());
   }
   return total;

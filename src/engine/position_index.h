@@ -2,9 +2,10 @@
 #define TEMPLEX_ENGINE_POSITION_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "common/hash.h"
 #include "datalog/symbol.h"
 #include "datalog/value.h"
@@ -19,7 +20,11 @@ namespace templex {
 // graph it indexes into a ChaseResult.
 //
 // Keyed by a packed 64-bit hash of (pred_symbol, position, value hash) — no
-// string ever touches a probe. Hash collisions can merge two value groups
+// string ever touches a probe. One bucket per distinct key, found through a
+// FlatIndex (common/flat_index.h) over the bucket list. Buckets live in a
+// deque and never move once created: the sequential chase round holds a
+// bucket's id list (a CandidatesFor result) while ApplyHead adds facts,
+// and so new buckets. Hash collisions can merge two value groups
 // into one bucket; that is sound (and preserves ascending-id order) because
 // every reader still verifies each candidate against the full pattern.
 // Collisions ARE counted (chase.index.collision_groups): each bucket
@@ -39,8 +44,9 @@ class PositionIndex {
   // A superset (collisions) that callers must verify.
   const std::vector<FactId>* Find(Symbol predicate, int position,
                                   const Value& value) const {
-    auto it = by_position_.find(PosKey(predicate, position, value.Hash()));
-    return it == by_position_.end() ? nullptr : &it->second.ids;
+    const int32_t bucket =
+        FindBucket(PosKey(predicate, position, value.Hash()));
+    return bucket < 0 ? nullptr : &buckets_[static_cast<size_t>(bucket)].ids;
   }
 
   // Number of facts added so far. ChaseResult::Match only trusts the index
@@ -49,7 +55,7 @@ class PositionIndex {
 
   // Index shape, exported as chase.index.* counters at the end of a run.
   int64_t position_keys() const {
-    return static_cast<int64_t>(by_position_.size());
+    return static_cast<int64_t>(buckets_.size());
   }
   int64_t position_entries() const;
   int64_t collision_groups() const { return collision_groups_; }
@@ -89,7 +95,14 @@ class PositionIndex {
            poskey_mask_;
   }
 
-  std::unordered_map<uint64_t, PosBucket> by_position_;
+  // The bucket of `key`, or -1. A key is the whole identity of its bucket,
+  // so equal hashes are the match.
+  int32_t FindBucket(uint64_t key) const {
+    return by_key_.Find(key, [](int32_t) { return true; });
+  }
+
+  std::deque<PosBucket> buckets_;  // in creation order
+  FlatIndex by_key_;               // PosKey -> index into buckets_
   int64_t indexed_facts_ = 0;
   int64_t collision_groups_ = 0;
   int64_t bytes_ = 0;

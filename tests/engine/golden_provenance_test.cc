@@ -266,24 +266,27 @@ TEST(GoldenProvenanceTest, ExtendMatchesGolden) {
       base.push_back(fact);
     }
   }
-  // One thread only: the parallel round slices every semi-naive pass by
-  // pivot-row windows, and for a pivot past the first body atom (here the
-  // new Own facts under σ3) the concatenated slices do not replay the
-  // sequential match order, so an extension's fact ids depend on the
-  // thread count (ROADMAP, parallel chase item).
-  Result<ChaseResult> first = ChaseEngine().Run(program, base);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  obs::MetricsRegistry metrics;
-  ChaseConfig extend_config;
-  extend_config.metrics = &metrics;
-  Result<ChaseResult> extended =
-      ChaseEngine(extend_config)
-          .Extend(std::move(first).value(), program, delta);
-  ASSERT_TRUE(extended.ok()) << extended.status().ToString();
-  // chase.extend.seconds is a histogram, so the counters stay
-  // deterministic.
-  EXPECT_EQ(Hex(Fnv1a(Dump(extended.value(), /*counters=*/true))),
-            Hex(kGoldenExtend));
+  // The new Own facts under σ3 give the extension a semi-naive pass whose
+  // pivot is past the first body atom; its fact ids must not depend on the
+  // thread count.
+  for (int threads : {1, 2, 8}) {
+    ChaseConfig config;
+    config.num_threads = threads;
+    Result<ChaseResult> first = ChaseEngine(config).Run(program, base);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    obs::MetricsRegistry metrics;
+    ChaseConfig extend_config = config;
+    extend_config.metrics = &metrics;
+    Result<ChaseResult> extended =
+        ChaseEngine(extend_config)
+            .Extend(std::move(first).value(), program, delta);
+    ASSERT_TRUE(extended.ok()) << extended.status().ToString();
+    // chase.extend.seconds is a histogram, so the counters stay
+    // deterministic.
+    EXPECT_EQ(Hex(Fnv1a(Dump(extended.value(), /*counters=*/true))),
+              Hex(kGoldenExtend))
+        << "threads=" << threads;
+  }
 }
 
 TEST(GoldenProvenanceTest, KillAndResumeMatchesGolden) {
