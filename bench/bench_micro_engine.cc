@@ -104,11 +104,13 @@ agg: Link(x, z), Share(z, y, s), ts = sum(s, [z]), ts > 0.5 -> Linked(x, y).
 }
 BENCHMARK(BM_AggregateApply)->Arg(8)->Arg(64);
 
-// A bound, derivable point-query goal: Control(X, _) for the subject with
-// the FEWEST derived non-reflexive controls — a typical low-degree entity,
-// not a hub whose control cone spans the network. Deterministic given
-// OwnershipEdb's fixed seed.
-Fact PointQueryGoal(const Program& program, const std::vector<Fact>& edb) {
+// A bound, derivable point-query goal Control(X, _). The small-cone
+// subject has the FEWEST derived non-reflexive controls — a typical
+// low-degree entity; the large-cone subject has the MOST — a hub whose
+// control cone spans the network. Deterministic given OwnershipEdb's fixed
+// seed.
+Fact PointQueryGoal(const Program& program, const std::vector<Fact>& edb,
+                    bool large_cone = false) {
   auto chase = ChaseEngine().Run(program, edb);
   std::map<std::string, int> degree;
   if (chase.ok()) {
@@ -122,7 +124,8 @@ Fact PointQueryGoal(const Program& program, const std::vector<Fact>& edb) {
   std::string best;
   int best_degree = -1;
   for (const auto& [subject, count] : degree) {
-    if (best_degree < 0 || count < best_degree) {
+    if (best_degree < 0 ||
+        (large_cone ? count > best_degree : count < best_degree)) {
       best = subject;
       best_degree = count;
     }
@@ -135,28 +138,55 @@ Fact PointQueryGoal(const Program& program, const std::vector<Fact>& edb) {
               {Value::String(best.substr(1, best.size() - 2)), Value::Null()}};
 }
 
-void BM_PointQueryCompanyControl(benchmark::State& state) {
-  // Query-driven evaluation (engine/query.h): QSQR relevance pass +
-  // restricted chase. Compare against BM_PointQueryCompanyControlMaterialize
-  // — the whole point is that a bound goal stops paying for the full chase.
+// One QueryEvaluator leg of the point-query benches (engine/query.h):
+// kQsqr forces the relevance pass + restricted chase, kAuto lets the
+// planner choose (query_driven counter: 1 when the run was query-driven).
+void BM_PointQueryCompanyControlCone(benchmark::State& state, EvalMode mode,
+                                     bool large_cone) {
   Program program = CompanyControlProgram();
   std::vector<Fact> edb = OwnershipEdb(static_cast<int>(state.range(0)));
-  Fact goal = PointQueryGoal(program, edb);
+  Fact goal = PointQueryGoal(program, edb, large_cone);
   ChaseConfig config;
   int64_t answers = 0;
   int64_t relevant = 0;
+  bool query_driven = false;
   for (auto _ : state) {
-    auto result = QueryEvaluator(config).Evaluate(program, edb, goal);
+    auto result = QueryEvaluator(config).Evaluate(program, edb, goal, mode);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
     answers = result.value().stats.answers;
     relevant = result.value().stats.relevant_edb_facts;
+    query_driven = result.value().stats.query_driven;
     benchmark::DoNotOptimize(result.value().answers.size());
   }
   state.counters["edb"] = static_cast<double>(edb.size());
   state.counters["relevant_edb"] = static_cast<double>(relevant);
   state.counters["answers"] = static_cast<double>(answers);
+  state.counters["query_driven"] = query_driven ? 1.0 : 0.0;
 }
-BENCHMARK(BM_PointQueryCompanyControl)->Arg(20)->Arg(50)->Arg(100);
+
+void BM_PointQueryCompanyControl(benchmark::State& state) {
+  // Query-driven evaluation, forced: QSQR relevance pass + restricted
+  // chase. Compare against BM_PointQueryCompanyControlMaterialize — the
+  // whole point is that a bound goal stops paying for the full chase.
+  BM_PointQueryCompanyControlCone(state, EvalMode::kQsqr, false);
+}
+BENCHMARK(BM_PointQueryCompanyControl)->Arg(20)->Arg(50)->Arg(100)->Arg(400);
+
+void BM_PointQueryCompanyControlAuto(benchmark::State& state) {
+  // The same goal under the default plan.
+  BM_PointQueryCompanyControlCone(state, EvalMode::kAuto, false);
+}
+BENCHMARK(BM_PointQueryCompanyControlAuto)
+    ->Arg(20)->Arg(50)->Arg(100)->Arg(400);
+
+// The large-cone subject at 400 companies: about two thirds of the EDB is
+// relevant, so the restricted chase is nearly a full one.
+BENCHMARK_CAPTURE(BM_PointQueryCompanyControlCone, large_qsqr, EvalMode::kQsqr,
+                  true)
+    ->Arg(400);
+BENCHMARK_CAPTURE(BM_PointQueryCompanyControlCone, large_auto, EvalMode::kAuto,
+                  true)
+    ->Arg(400);
 
 void BM_PointQueryCompanyControlMaterialize(benchmark::State& state) {
   // The classic strategy for the same goal: materialize the full chase,
@@ -176,7 +206,8 @@ void BM_PointQueryCompanyControlMaterialize(benchmark::State& state) {
   state.counters["edb"] = static_cast<double>(edb.size());
   state.counters["answers"] = static_cast<double>(answers);
 }
-BENCHMARK(BM_PointQueryCompanyControlMaterialize)->Arg(20)->Arg(50)->Arg(100);
+BENCHMARK(BM_PointQueryCompanyControlMaterialize)
+    ->Arg(20)->Arg(50)->Arg(100)->Arg(400);
 
 void BM_AppQueryBound(benchmark::State& state) {
   // The lookup layer alone, as the daemon's /query runs it: one

@@ -35,7 +35,7 @@ bool KeyLess(const std::vector<Value>& a, const std::vector<Value>& b) {
 
 }  // namespace
 
-AggregateState::Group& AggregateState::FindOrAddGroup(
+AggregateState::GroupRef AggregateState::FindOrAddGroup(
     int rule_index, const std::vector<Value>& group_key) {
   uint64_t hash = HashMix(static_cast<uint64_t>(rule_index));
   for (const Value& v : group_key) hash = HashCombine(hash, v.Hash());
@@ -43,10 +43,12 @@ AggregateState::Group& AggregateState::FindOrAddGroup(
     const Group& group = groups_[static_cast<size_t>(id)];
     return group.rule == rule_index && group.key == group_key;
   });
-  if (found >= 0) return groups_[static_cast<size_t>(found)];
-  group_index_.Insert(hash, static_cast<int32_t>(groups_.size()));
+  if (found >= 0) return GroupRef(found);
+  const auto id = static_cast<int32_t>(groups_.size());
+  group_index_.Insert(hash, id);
   approx_bytes_ += KeyBytes(group_key) + kEntryBytes;
-  return groups_.emplace_back(Group{rule_index, group_key, {}});
+  groups_.push_back(Group{rule_index, group_key, {}});
+  return GroupRef(id);
 }
 
 std::vector<AggregateState::Contributor>::iterator AggregateState::LowerBound(
@@ -63,8 +65,17 @@ std::optional<Value> AggregateState::Contribute(
     const std::vector<Value>& group_key,
     const std::vector<Value>& contributor_key, const Value& input,
     std::span<const FactId> parents, GroupRef* group_ref) {
-  Group& group = FindOrAddGroup(rule_index, group_key);
-  if (group_ref != nullptr) *group_ref = GroupRef(&group);
+  const GroupRef group = FindOrAddGroup(rule_index, group_key);
+  if (group_ref != nullptr) *group_ref = group;
+  return Contribute(group, function, explicit_keys, contributor_key, input,
+                    parents);
+}
+
+std::optional<Value> AggregateState::Contribute(
+    GroupRef ref, AggregateFunction function, bool explicit_keys,
+    const std::vector<Value>& contributor_key, const Value& input,
+    std::span<const FactId> parents) {
+  Group& group = groups_[static_cast<size_t>(ref.id_)];
   auto it = LowerBound(group, contributor_key);
   bool changed = false;
   if (it == group.contributors.end() || KeyLess(contributor_key, it->key)) {
@@ -136,7 +147,8 @@ Value AggregateState::Fold(AggregateFunction function, const Group& group) {
 
 void AggregateState::Contributions(
     GroupRef group, std::vector<AggregateContribution>* out) const {
-  const std::vector<Contributor>& contributors = group.group_->contributors;
+  const std::vector<Contributor>& contributors =
+      groups_[static_cast<size_t>(group.id_)].contributors;
   out->clear();
   out->reserve(contributors.size());
   for (const Contributor& c : contributors) {
@@ -147,7 +159,8 @@ void AggregateState::Contributions(
 void AggregateState::UnionParents(GroupRef group,
                                   std::vector<FactId>* out) const {
   out->clear();
-  for (const Contributor& c : group.group_->contributors) {
+  for (const Contributor& c :
+       groups_[static_cast<size_t>(group.id_)].contributors) {
     for (FactId p : c.parents) {
       if (std::find(out->begin(), out->end(), p) == out->end()) {
         out->push_back(p);
@@ -179,7 +192,8 @@ void AggregateState::Restore(int rule_index,
                              const std::vector<Value>& contributor_key,
                              const Value& value,
                              const std::vector<FactId>& parents) {
-  Group& group = FindOrAddGroup(rule_index, group_key);
+  Group& group =
+      groups_[static_cast<size_t>(FindOrAddGroup(rule_index, group_key).id_)];
   auto it = LowerBound(group, contributor_key);
   if (it == group.contributors.end() || KeyLess(contributor_key, it->key)) {
     group.contributors.insert(it, Contributor{contributor_key, value, parents});

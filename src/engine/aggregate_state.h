@@ -41,25 +41,36 @@ class AggregateState {
   struct Group;
 
  public:
-  // Names the group a Contribute call landed in, for materializing its
-  // provenance right after. Groups never move, so the reference stays
-  // valid until this state is assigned to or destroyed; it reads the
-  // group's contents at call time, which the next Contribute may change.
+  // Names a group: its index in creation order (0, 1, 2, ...), so a
+  // caller can keep its own per-group state in a vector. Valid until this
+  // state is assigned to or destroyed; it reads the group's contents at
+  // call time, which the next Contribute may change.
   class GroupRef {
    public:
     GroupRef() = default;
+    int32_t id() const { return id_; }
 
    private:
     friend class AggregateState;
-    explicit GroupRef(const Group* group) : group_(group) {}
-    const Group* group_ = nullptr;
+    explicit GroupRef(int32_t id) : id_(id) {}
+    int32_t id_ = -1;
   };
 
   explicit AggregateState(int num_rules) : num_rules_(num_rules) {}
 
-  // Registers a contribution. Returns the group's new aggregate value if
-  // the group changed, nullopt otherwise; `group` (optional) receives the
-  // group either way. `explicit_keys` selects the update discipline above.
+  // The group of (rule, key), created empty (and accounted) on first use.
+  GroupRef FindOrAddGroup(int rule_index, const std::vector<Value>& group_key);
+
+  // Registers a contribution to `group`. Returns the group's new aggregate
+  // value if the group changed, nullopt otherwise. `explicit_keys` selects
+  // the update discipline above.
+  std::optional<Value> Contribute(GroupRef group, AggregateFunction function,
+                                  bool explicit_keys,
+                                  const std::vector<Value>& contributor_key,
+                                  const Value& input,
+                                  std::span<const FactId> parents);
+
+  // The same for the group of (rule, key); `group` (optional) receives it.
   std::optional<Value> Contribute(int rule_index, AggregateFunction function,
                                   bool explicit_keys,
                                   const std::vector<Value>& group_key,
@@ -116,9 +127,6 @@ class AggregateState {
     std::vector<Contributor> contributors;  // ascending by key
   };
 
-  // The group of (rule, key), created (and accounted) on first use.
-  Group& FindOrAddGroup(int rule_index, const std::vector<Value>& group_key);
-
   // Position of `key` in the group's sorted contributors: the first
   // contributor not less than it.
   static std::vector<Contributor>::iterator LowerBound(
@@ -126,8 +134,7 @@ class AggregateState {
 
   static Value Fold(AggregateFunction function, const Group& group);
 
-  // Deque: a new group must not move the others (GroupRef points into
-  // it), and growth never copies every group at once.
+  // Deque: growth never copies every group at once.
   std::deque<Group> groups_;
   FlatIndex group_index_;  // hash of (rule, key) -> index into groups_
   int num_rules_ = 0;

@@ -40,7 +40,8 @@ struct QueryResult {
   // materialization for every query-relevant fact.
   ChaseResult chase;
   QueryStats stats;
-  // The plan Evaluate followed.
+  // The plan Evaluate followed: an overflowing relevance pass rewrites a
+  // kQsqr plan to kMaterialize with the reason.
   QueryPlan plan;
 };
 
@@ -67,13 +68,16 @@ Status ValidateGoalPattern(const Program& program,
 //     restriction (DESIGN.md §12 has the argument);
 //   - materialize: the full chase, filtered by the goal pattern
 //     (stats.query_driven = false). Taken when the plan says so — the
-//     goal is not eligible, the cost model prefers it, or the caller
-//     forced it — and when the relevance tables would exceed
-//     config.max_facts. Answers are identical either way.
+//     goal is not eligible, has no bound argument under kAuto, or the
+//     caller forced it — and when the relevance tables would exceed
+//     config.max_facts. The pass is freed before the full chase starts,
+//     and the returned plan's mode and reason name the strategy that ran.
+//     Answers are identical either way.
 //
 // `requested` defaults to kQsqr: direct callers get query-driven
-// evaluation whenever the goal is eligible. KnowledgeGraphApplication::
-// RunForQuery passes the CLI's --eval-mode (kAuto by default).
+// evaluation whenever the goal is eligible.
+// KnowledgeGraphApplication::RunForQuery passes the CLI's --eval-mode
+// (kAuto by default).
 //
 // The evaluator honors the config's deadline, cancellation token, memory
 // budget, stall watchdog, and thread count — the relevance pass checks

@@ -1,6 +1,5 @@
 #include "engine/query_planner.h"
 
-#include <deque>
 #include <map>
 #include <set>
 #include <string>
@@ -8,46 +7,6 @@
 
 namespace templex {
 namespace {
-
-// Below this many cone EDB facts a full chase is effectively free; the
-// top-down pass's bookkeeping would dominate.
-constexpr int64_t kSmallConeFacts = 64;
-
-// Fixed overhead factor charged to the query-driven side: the relevance
-// pass re-enumerates joins the restricted chase then performs again.
-constexpr double kQsqrOverhead = 2.0;
-
-struct ConeStats {
-  std::set<std::string> predicates;
-  int rules = 0;
-  bool recursive = false;
-};
-
-ConeStats GoalCone(const Program& program, const std::string& goal_pred) {
-  ConeStats cone;
-  std::deque<std::string> work{goal_pred};
-  cone.predicates.insert(goal_pred);
-  while (!work.empty()) {
-    std::string pred = work.front();
-    work.pop_front();
-    for (const Rule& rule : program.rules()) {
-      if (rule.is_constraint || rule.head.predicate != pred) continue;
-      ++cone.rules;
-      for (const auto* atoms : {&rule.body, &rule.negative_body}) {
-        for (const Atom& atom : *atoms) {
-          if (atom.predicate == rule.head.predicate) cone.recursive = true;
-          if (cone.predicates.insert(atom.predicate).second) {
-            work.push_back(atom.predicate);
-          } else if (program.IsIntensional(atom.predicate)) {
-            // A revisited IDB predicate means a cycle through the cone.
-            cone.recursive = true;
-          }
-        }
-      }
-    }
-  }
-  return cone;
-}
 
 // Adornment of an atom occurrence: one char per argument, 'b' when it
 // holds a constant or a variable already bound, 'f' otherwise.
@@ -221,31 +180,6 @@ QueryPlan PlanQuery(const Program& program, const std::vector<Fact>& edb,
 
   plan.qsqr_refusal = QsqrRefusal(program, goal_pattern);
 
-  ConeStats cone = GoalCone(program, goal_pattern.predicate);
-  plan.cone_rules = cone.rules;
-  plan.recursive_cone = cone.recursive;
-  for (const Fact& fact : edb) {
-    if (cone.predicates.count(fact.predicate) > 0) ++plan.cone_edb_facts;
-  }
-
-  // Abstract work units: a chase touches every cone EDB fact once per cone
-  // rule (recursion multiplies the passes); a query-driven run touches the
-  // same shape scaled by the fraction of the instance the bound arguments
-  // select, plus a fixed re-enumeration overhead.
-  double recursion_factor = cone.recursive ? 4.0 : 1.0;
-  plan.materialize_cost = static_cast<double>(plan.cone_edb_facts) *
-                          static_cast<double>(plan.cone_rules > 0
-                                                  ? plan.cone_rules
-                                                  : 1) *
-                          recursion_factor;
-  double selectivity =
-      plan.arity > 0
-          ? static_cast<double>(plan.arity - plan.bound_args) /
-                static_cast<double>(plan.arity)
-          : 1.0;
-  plan.query_cost = plan.materialize_cost * selectivity * kQsqrOverhead +
-                    static_cast<double>(plan.cone_edb_facts);
-
   if (requested == EvalMode::kMaterialize) {
     plan.mode = EvalMode::kMaterialize;
     plan.reason = "forced by --eval-mode=materialize";
@@ -268,23 +202,12 @@ QueryPlan PlanQuery(const Program& program, const std::vector<Fact>& edb,
         "goal has no bound arguments; enumeration needs the full relation";
     return plan;
   }
-  if (plan.cone_edb_facts < kSmallConeFacts) {
-    plan.mode = EvalMode::kMaterialize;
-    plan.reason = "cone EDB (" + std::to_string(plan.cone_edb_facts) +
-                  " facts) below the " + std::to_string(kSmallConeFacts) +
-                  "-fact threshold; full chase is effectively free";
-    return plan;
-  }
-  if (plan.query_cost < plan.materialize_cost) {
-    plan.mode = EvalMode::kQsqr;
-  } else {
-    plan.mode = EvalMode::kMaterialize;
-  }
-  plan.reason = "estimated query cost " + std::to_string(plan.query_cost) +
-                " vs materialize " + std::to_string(plan.materialize_cost) +
-                " over a " + std::to_string(plan.cone_edb_facts) +
-                "-fact cone with " + std::to_string(plan.cone_rules) +
-                " rules";
+  // Every eligible bound goal runs query-driven: with the semi-naive
+  // relevance pass, materializing wins only where nearly the whole EDB is
+  // relevant, and there by less than the pass costs to find that out
+  // (DESIGN.md §12).
+  plan.mode = EvalMode::kQsqr;
+  plan.reason = "bound goal; query-driven";
   return plan;
 }
 

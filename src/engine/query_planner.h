@@ -12,44 +12,40 @@
 
 namespace templex {
 
-// How a point query is evaluated. kAuto lets the cost model below choose;
-// the other two force a strategy (`templex_cli --eval-mode=...`). A forced
-// kQsqr still resolves to kMaterialize when the goal is not eligible for
-// query-driven evaluation (QueryPlan::qsqr_refusal) — forcing the mode
-// must never change answers.
+// How a point query is evaluated. kAuto evaluates an eligible goal with a
+// bound argument query-driven and materializes the rest; the other two
+// force a strategy (`templex_cli --eval-mode=...`). A forced kQsqr still resolves
+// to kMaterialize when the goal is not eligible for query-driven
+// evaluation (QueryPlan::qsqr_refusal) — forcing the mode must never
+// change answers.
 enum class EvalMode { kAuto, kMaterialize, kQsqr };
 
 const char* EvalModeName(EvalMode mode);
 Result<EvalMode> ParseEvalMode(std::string_view text);
 
-// The chooser's verdict plus the estimates it was based on — a
-// VLog-costestimator-style decision surface (PAPERS.md), kept simple and
-// fully deterministic so a plan is explainable in one log line.
+// The planner's verdict: deterministic, explainable in one log line, and
+// cheap — eligibility and bound arguments, no pass over the EDB.
 struct QueryPlan {
   // Resolved strategy: kMaterialize or kQsqr, never kAuto.
+  // QueryEvaluator::Evaluate overwrites a kQsqr plan's mode and reason
+  // with kMaterialize when the relevance pass overflows.
   EvalMode mode = EvalMode::kMaterialize;
-  // One-line rationale ("bound goal over 512-fact cone, est. 8x cheaper").
+  // One-line rationale ("bound goal; query-driven").
   std::string reason;
   // Why query-driven evaluation could disagree with the full chase for
   // this goal; empty when the goal is eligible. Computed for every plan,
   // whatever mode was requested.
   std::string qsqr_refusal;
 
-  // Estimates the decision used.
-  int64_t edb_facts = 0;        // total EDB size
-  int64_t cone_edb_facts = 0;   // EDB facts of predicates in the goal cone
-  int cone_rules = 0;           // rules whose head is in the goal cone
-  int bound_args = 0;           // non-Null goal arguments
-  int arity = 0;                // goal arity
-  bool recursive_cone = false;  // the cone contains recursion
-  double materialize_cost = 0;  // abstract work units
-  double query_cost = 0;
+  int64_t edb_facts = 0;  // total EDB size
+  int bound_args = 0;     // non-Null goal arguments
+  int arity = 0;          // goal arity
 };
 
-// Chooses materialize-then-query vs. query-driven evaluation for
-// `goal_pattern` (Null arguments = free) from EDB sizes, rule fan-out,
-// and goal boundness. `requested` == kMaterialize / kQsqr short-circuits
-// the model.
+// Plans `goal_pattern` (Null arguments = free). `requested` ==
+// kMaterialize / kQsqr forces the strategy (a refused goal still
+// materializes); kAuto materializes a goal with no bound argument and
+// plans every other eligible goal query-driven.
 //
 // Every plan first checks the goal's eligibility (DESIGN.md §12): the
 // bindings a magic-set rewrite would propagate from the goal are walked

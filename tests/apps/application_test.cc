@@ -37,15 +37,16 @@ TEST(ApplicationTest, RunAndQueryWithWildcards) {
 }
 
 TEST(ApplicationTest, RunForQueryMaterializeCountsAsQueryRun) {
-  // A two-fact instance is below the planner's small-cone threshold, so
-  // auto picks materialization; the run must still be a counted query run.
+  // Auto runs every eligible bound goal query-driven, so the caller asks
+  // for materialization; the run must still be a counted query run.
   auto app = ControlApp();
   app->AddFacts({{"Own", {S("A"), S("B"), D(0.6)}},
                  {"Own", {S("B"), S("C"), D(0.7)}}});
   obs::MetricsRegistry registry;
   ChaseConfig config;
   config.metrics = &registry;
-  auto run = app->RunForQuery({"Control", {S("A"), Value::Null()}}, config);
+  auto run = app->RunForQuery({"Control", {S("A"), Value::Null()}}, config,
+                              EvalMode::kMaterialize);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run.value().plan.mode, EvalMode::kMaterialize);
   EXPECT_FALSE(run.value().stats.query_driven);

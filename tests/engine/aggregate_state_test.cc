@@ -108,6 +108,29 @@ TEST(AggregateStateTest, GroupsAreIndependent) {
   EXPECT_EQ(c.contributions.size(), 1u);
 }
 
+// Group ids are dense in creation order, and a group found first and fed
+// later folds as one found by Contribute.
+TEST(AggregateStateTest, GroupIdsAreDenseInCreationOrder) {
+  AggregateState state(2);
+  const auto b = state.FindOrAddGroup(0, Key({Value::String("B")}));
+  const auto c = state.FindOrAddGroup(1, Key({Value::String("B")}));
+  EXPECT_EQ(b.id(), 0);
+  EXPECT_EQ(c.id(), 1);
+  EXPECT_EQ(state.FindOrAddGroup(0, Key({Value::String("B")})).id(), 0);
+  auto first = state.Contribute(b, AggregateFunction::kSum, false,
+                                Key({Value::Int(1)}), Value::Int(5), {});
+  AggregateState::GroupRef again;
+  auto second = state.Contribute(0, AggregateFunction::kSum, false,
+                                 Key({Value::String("B")}),
+                                 Key({Value::Int(2)}), Value::Int(3), {},
+                                 &again);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*first, Value::Double(5));
+  EXPECT_EQ(*second, Value::Double(8));
+  EXPECT_EQ(again.id(), 0);
+}
+
 TEST(AggregateStateTest, RulesAreIndependent) {
   AggregateState state(2);
   auto group = Key({Value::String("C")});

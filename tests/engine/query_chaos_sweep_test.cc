@@ -1,8 +1,8 @@
 // Long differential sweep for query-driven evaluation, labeled `chaos` in
 // tests/CMakeLists.txt: every company of a saturated ownership network is
-// point-queried under both strategies across thread counts, and the
-// deadline / cancellation / budget integration of the evaluator is
-// exercised the way the chase's own interruption tests do it.
+// point-queried forced query-driven and under the auto plan across thread
+// counts, and the deadline / cancellation / budget integration of the
+// evaluator is exercised the way the chase's own interruption tests do it.
 
 #include <gtest/gtest.h>
 
@@ -52,14 +52,18 @@ TEST(QueryChaosSweepTest, EveryCompanyPointQuery) {
     ASSERT_TRUE(full.ok()) << full.status().ToString();
     for (int c = 0; c < options.companies; ++c) {
       Fact goal{"Control", {S(CompanyName(c)), N()}};
-      auto query = QueryEvaluator(config).Evaluate(program, edb, goal);
-      ASSERT_TRUE(query.ok()) << query.status().ToString();
-      std::vector<std::string> got;
-      for (const Fact& fact : query.value().answers) {
-        got.push_back(fact.ToString());
+      // Forced query-driven, and auto, which plans the goal itself.
+      for (EvalMode mode : {EvalMode::kQsqr, EvalMode::kAuto}) {
+        auto query = QueryEvaluator(config).Evaluate(program, edb, goal, mode);
+        ASSERT_TRUE(query.ok()) << query.status().ToString();
+        std::vector<std::string> got;
+        for (const Fact& fact : query.value().answers) {
+          got.push_back(fact.ToString());
+        }
+        EXPECT_EQ(got, Filter(full.value(), goal))
+            << "threads=" << threads << " mode=" << EvalModeName(mode)
+            << " goal=" << goal.ToString();
       }
-      EXPECT_EQ(got, Filter(full.value(), goal))
-          << "threads=" << threads << " goal=" << goal.ToString();
     }
   }
 }

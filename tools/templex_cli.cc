@@ -19,12 +19,13 @@
 //              (styles: plain|millions|percent). Without it, a minimal
 //              fallback glossary is generated from the rules.
 // --query      prints all facts matching a pattern (use _ as wildcard);
-// --eval-mode  auto|materialize|qsqr — how --query is answered. auto (the
-//              default) lets a cost model choose; qsqr runs goal-directed
-//              evaluation (QSQR relevance pass + restricted chase, see
-//              DESIGN.md §12) so point queries stop paying for the full
-//              chase, unless the goal's eligibility check refuses it;
-//              materialize forces the classic full run. Answers and
+// --eval-mode  auto|materialize|qsqr — how --query is answered. qsqr runs
+//              goal-directed evaluation (QSQR relevance pass + restricted
+//              chase, see DESIGN.md §12) so point queries stop paying for
+//              the full chase, unless the goal's eligibility check refuses
+//              it; materialize forces the classic full run; auto (the
+//              default) is qsqr for a goal with a bound argument and
+//              materialize for one without. Answers and
 //              explanation text are byte-identical across modes. Flags
 //              that need the whole instance (--what-if, --interactive,
 //              --dump-json, --report, --explain-all, --checkpoint-dir)
@@ -613,11 +614,9 @@ int main(int argc, char** argv) {
   if (query_execution.has_value()) {
     // Plan and strategy go to stderr so stdout stays the stable
     // answer/explanation stream.
-    const QueryStats& stats = query_execution->stats;
-    std::fprintf(stderr, "query plan: %s — %s\n",
-                 stats.query_driven ? "qsqr" : "materialize",
-                 stats.query_driven ? query_execution->plan.reason.c_str()
-                                    : stats.fallback_reason.c_str());
+    const QueryPlan& plan = query_execution->plan;
+    std::fprintf(stderr, "query plan: %s — %s\n", EvalModeName(plan.mode),
+                 plan.reason.c_str());
   }
 
   const ChaseResult& chase = app.value()->chase();
