@@ -819,38 +819,29 @@ class ChaseRun {
           "checkpoint: symbol table contains duplicates");
     }
     const std::vector<Rule>& rules = program_.rules();
-    auto relabel = [&rules](int rule_index, std::string* label) -> bool {
-      if (rule_index < 0) return true;  // extensional
-      if (static_cast<size_t>(rule_index) >= rules.size()) return false;
-      *label = rules[rule_index].label;
-      return true;
-    };
     const FactId total = static_cast<FactId>(checkpoint.nodes.size());
     for (FactId i = 0; i < total; ++i) {
       ChaseNode node = std::move(checkpoint.nodes[i]);
-      if (!relabel(node.rule_index, &node.rule_label)) {
-        return Status::DataLoss("checkpoint: fact " + std::to_string(i) +
-                                " derived by out-of-range rule " +
-                                std::to_string(node.rule_index));
-      }
-      for (FactId parent : node.parents) {
-        if (parent < 0 || parent >= i) {
-          return Status::DataLoss(
-              "checkpoint: fact " + std::to_string(i) +
-              " has non-preceding parent " + std::to_string(parent));
-        }
-      }
-      for (Derivation& alt : node.alternatives) {
-        if (!relabel(alt.rule_index, &alt.rule_label)) {
-          return Status::DataLoss(
-              "checkpoint: alternative derived by out-of-range rule");
-        }
-        // Alternative parents may postdate the fact (acyclic, not
-        // id-ordered), but must exist.
-        for (FactId parent : alt.parents) {
-          if (parent < 0 || parent >= total) {
+      // Relabel every derivation from the program. Primary parents precede
+      // the fact; alternative parents may postdate it (acyclic, not
+      // id-ordered), but must exist.
+      for (size_t k = 0; k <= node.alternatives.size(); ++k) {
+        Derivation& d = k == 0 ? node.derivation : node.alternatives[k - 1];
+        if (d.rule_index >= 0) {
+          if (static_cast<size_t>(d.rule_index) >= rules.size()) {
             return Status::DataLoss(
-                "checkpoint: alternative parent out of range");
+                "checkpoint: fact " + std::to_string(i) +
+                " derived by out-of-range rule " +
+                std::to_string(d.rule_index));
+          }
+          d.rule_label = rules[d.rule_index].label;
+        }
+        const FactId parent_end = k == 0 ? i : total;
+        for (FactId parent : d.parents) {
+          if (parent < 0 || parent >= parent_end) {
+            return Status::DataLoss("checkpoint: fact " + std::to_string(i) +
+                                    " has out-of-range parent " +
+                                    std::to_string(parent));
           }
         }
       }
@@ -1492,16 +1483,8 @@ class ChaseRun {
     }
     ChaseNode node;
     node.fact = std::move(fact);
-    node.rule_index = plan.index;
-    node.rule_label = plan.rule->label;
-    node.binding.AssignSlots(plan.binding_names, slots);
-    if (group != nullptr) {
-      aggregates_.UnionParents(*group, &parents_scratch_);
-      node.parents.assign(parents_scratch_.begin(), parents_scratch_.end());
-      aggregates_.Contributions(*group, &node.contributions);
-    } else {
-      node.parents.assign(facts.begin(), facts.end());
-    }
+    BuildDerivation(plan, slots, DerivationParents(facts, group), group,
+                    &node.derivation);
     const FactId id = result_.graph.Insert(std::move(node), hash);
     store_.OnNewFact(id);
     if (plan.firings_counter != nullptr) plan.firings_counter->Increment();
@@ -1509,10 +1492,35 @@ class ChaseRun {
     return Status::OK();
   }
 
+  // The parents of a derivation by `plan`: the match's facts, or for an
+  // aggregate the union over `group`'s contributions, built in scratch.
+  std::span<const FactId> DerivationParents(
+      std::span<const FactId> facts, const AggregateState::GroupRef* group) {
+    if (group == nullptr) return facts;
+    aggregates_.UnionParents(*group, &parents_scratch_);
+    return parents_scratch_;
+  }
+
+  // Fills `out` with the derivation of a head by `plan` over `slots`. The
+  // parents are copied with an exact-size assign: vectors grown in scratch
+  // and moved into the graph would keep their slack.
+  void BuildDerivation(const RulePlan& plan, const Value* slots,
+                       std::span<const FactId> parents,
+                       const AggregateState::GroupRef* group,
+                       Derivation* out) const {
+    out->rule_index = plan.index;
+    out->rule_label = plan.rule->label;
+    out->binding.AssignSlots(plan.binding_names, slots);
+    out->parents.assign(parents.begin(), parents.end());
+    if (group != nullptr) {
+      aggregates_.Contributions(*group, &out->contributions);
+    }
+  }
+
   // Keeps a bounded list of distinct, acyclic re-derivations of an existing
   // fact (other reasoning stories for the analyst). The cap is checked
-  // before anything is materialized; the candidate's parents are built in
-  // scratch, and its binding and contributions only once it is recorded.
+  // before anything is materialized; the candidate's parents are built
+  // first, and its binding and contributions only once it is recorded.
   void MaybeRecordAlternative(FactId id, const RulePlan& plan,
                               const Value* slots,
                               std::span<const FactId> facts,
@@ -1523,23 +1531,18 @@ class ChaseRun {
         config_.max_alternative_derivations) {
       return;
     }
-    std::vector<FactId>& parents = parents_scratch_;
-    if (group != nullptr) {
-      aggregates_.UnionParents(*group, &parents);
-    } else {
-      parents.assign(facts.begin(), facts.end());
-    }
+    const std::span<const FactId> parents = DerivationParents(facts, group);
     // Distinctness first: re-finding an already-recorded derivation is by
     // far the common case (aggregates re-emit their group every round), and
     // comparing (rule, parents) is a few int compares — the ancestor walk
     // below is O(sub-graph) and must only run for genuinely new stories.
-    auto same = [&plan, &parents](int rule_index,
-                                  const std::vector<FactId>& other) {
-      return plan.index == rule_index && parents == other;
-    };
-    if (same(existing.rule_index, existing.parents)) return;
-    for (const Derivation& alt : existing.alternatives) {
-      if (same(alt.rule_index, alt.parents)) return;
+    for (size_t k = 0; k <= existing.alternatives.size(); ++k) {
+      const Derivation& known =
+          k == 0 ? existing.derivation : existing.alternatives[k - 1];
+      if (known.rule_index == plan.index &&
+          std::ranges::equal(known.parents, parents)) {
+        return;
+      }
     }
     // Acyclic only: no parent may (transitively, along primary
     // derivations) depend on the fact itself, or proofs built from the
@@ -1548,15 +1551,8 @@ class ChaseRun {
     for (FactId parent : parents) {
       if (result_.graph.DependsOn(parent, id)) return;
     }
-    Derivation derivation;
-    derivation.rule_index = plan.index;
-    derivation.rule_label = plan.rule->label;
-    derivation.binding.AssignSlots(plan.binding_names, slots);
-    derivation.parents.assign(parents.begin(), parents.end());
-    if (group != nullptr) {
-      aggregates_.Contributions(*group, &derivation.contributions);
-    }
-    existing.alternatives.push_back(std::move(derivation));
+    BuildDerivation(plan, slots, parents, group,
+                    &existing.alternatives.emplace_back());
     // Insert charged the node without this alternative; account the growth
     // so the governed footprint matches a restore (whose nodes arrive with
     // alternatives attached and are charged whole).

@@ -1,6 +1,7 @@
 #include "engine/chase_graph.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace templex {
 
@@ -37,12 +38,8 @@ int64_t ApproxBytes(const ChaseNode& node) {
   int64_t total = static_cast<int64_t>(sizeof(ChaseNode)) +
                   node.fact.ApproxBytes() -
                   static_cast<int64_t>(sizeof(Fact)) +
-                  static_cast<int64_t>(node.rule_label.size()) +
-                  node.binding.ApproxBytes() +
-                  static_cast<int64_t>(node.parents.size() * sizeof(FactId));
-  for (const AggregateContribution& c : node.contributions) {
-    total += ApproxBytes(c);
-  }
+                  ApproxBytes(node.derivation) -
+                  static_cast<int64_t>(sizeof(Derivation));
   for (const Derivation& d : node.alternatives) total += ApproxBytes(d);
   return total;
 }
@@ -65,7 +62,7 @@ FactId ChaseGraph::Insert(ChaseNode node, size_t hash) {
   index_.Insert(hash, id);
   approx_bytes_ += ApproxBytes(node) + kPerNodeIndexBytes;
   int32_t level = 0;
-  for (FactId parent : node.parents) {
+  for (FactId parent : node.derivation.parents) {
     if (parent >= 0 && parent < id) {
       level = std::max(level, levels_[parent] + 1);
     }
@@ -96,7 +93,7 @@ std::vector<FactId> ChaseGraph::AncestorClosure(FactId id) const {
     if (seen[current]) continue;
     seen[current] = true;
     result.push_back(current);
-    for (FactId parent : nodes_[current].parents) {
+    for (FactId parent : nodes_[current].derivation.parents) {
       if (!seen[parent]) stack.push_back(parent);
     }
   }
@@ -124,7 +121,7 @@ bool ChaseGraph::DependsOn(FactId node, FactId target) const {
   while (!stack.empty()) {
     const FactId current = stack.back();
     stack.pop_back();
-    for (FactId parent : nodes_[current].parents) {
+    for (FactId parent : nodes_[current].derivation.parents) {
       if (parent == target) return true;
       // Below target's id or level: no way back up to it.
       if (parent < target || levels_[parent] <= floor) continue;
@@ -153,19 +150,7 @@ ChaseGraph ChaseGraph::WithAlternative(FactId id,
   ChaseGraph copy = *this;
   ChaseNode& node = copy.nodes_[id];
   if (alternative_index < node.alternatives.size()) {
-    Derivation primary;
-    primary.rule_index = node.rule_index;
-    primary.rule_label = node.rule_label;
-    primary.binding = node.binding;
-    primary.parents = node.parents;
-    primary.contributions = node.contributions;
-    Derivation chosen = node.alternatives[alternative_index];
-    node.rule_index = chosen.rule_index;
-    node.rule_label = std::move(chosen.rule_label);
-    node.binding = std::move(chosen.binding);
-    node.parents = std::move(chosen.parents);
-    node.contributions = std::move(chosen.contributions);
-    node.alternatives[alternative_index] = std::move(primary);
+    std::swap(node.derivation, node.alternatives[alternative_index]);
   }
   return copy;
 }
@@ -184,9 +169,10 @@ std::string ChaseGraph::ToDot(FactId goal) const {
            "\", shape=box];\n";
   }
   for (FactId id : ids) {
-    for (FactId parent : nodes_[id].parents) {
+    const Derivation& derivation = nodes_[id].derivation;
+    for (FactId parent : derivation.parents) {
       dot += "  n" + std::to_string(parent) + " -> n" + std::to_string(id) +
-             " [label=\"" + nodes_[id].rule_label + "\"];\n";
+             " [label=\"" + derivation.rule_label + "\"];\n";
     }
   }
   dot += "}\n";

@@ -54,18 +54,14 @@ int64_t ApproxBytes(const Derivation& derivation);
 // analyst can ask for (Explainer::ExplainAllDerivations).
 struct ChaseNode {
   Fact fact;
+  Derivation derivation;
 
-  int rule_index = -1;
-  std::string rule_label;
-  Binding binding;
-  std::vector<FactId> parents;
-  std::vector<AggregateContribution> contributions;
-
-  // Alternative derivations (acyclic ones only: every parent precedes this
-  // node), capped by ChaseConfig::max_alternative_derivations.
+  // Alternative derivations (acyclic ones only: no parent depends on this
+  // node along primary derivations, though a parent may postdate it),
+  // capped by ChaseConfig::max_alternative_derivations.
   std::vector<Derivation> alternatives;
 
-  bool is_extensional() const { return rule_index < 0; }
+  bool is_extensional() const { return derivation.rule_index < 0; }
 };
 
 int64_t ApproxBytes(const ChaseNode& node);

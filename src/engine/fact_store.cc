@@ -3,29 +3,6 @@
 namespace templex {
 
 const std::vector<FactId>& FactStore::CandidatesFor(
-    const Atom& atom, const Binding& binding) const {
-  const Symbol predicate = graph_->symbols().Lookup(atom.predicate);
-  if (predicate == kInvalidSymbol) return empty_;  // no fact of the predicate
-  const std::vector<FactId>* best = nullptr;
-  for (int pos = 0; pos < atom.arity(); ++pos) {
-    const Term& t = atom.terms[pos];
-    Value bound_value;
-    if (t.is_constant()) {
-      bound_value = t.constant_value();
-    } else {
-      std::optional<Value> v = binding.Get(t.variable_name());
-      if (!v.has_value()) continue;
-      bound_value = *v;
-    }
-    const std::vector<FactId>* ids = index_.Find(predicate, pos, bound_value);
-    if (ids == nullptr) return empty_;  // no fact can match
-    if (best == nullptr || ids->size() < best->size()) best = ids;
-  }
-  if (best != nullptr) return *best;
-  return graph_->FactsOf(predicate);
-}
-
-const std::vector<FactId>& FactStore::CandidatesFor(
     const AtomPlan& atom, const Value* slots) const {
   const std::vector<FactId>* best = nullptr;
   const int arity = atom.arity;

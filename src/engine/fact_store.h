@@ -39,17 +39,12 @@ class FactStore {
     return graph_->FactsOf(predicate);
   }
 
-  // Candidate facts that could match `atom` under `binding`: if some atom
-  // position holds a constant or an already-bound variable, the most
-  // selective position index is used; otherwise the full predicate list is
-  // returned. Candidates still need a full MatchAtom check.
-  const std::vector<FactId>& CandidatesFor(const Atom& atom,
-                                           const Binding& binding) const;
-
-  // Compiled-plan twin of CandidatesFor: slot-indexed bound lookups, int
-  // predicate — the chase hot path. `slots` is the enumerator's per-slot
-  // value array; which slots are readable is static (TermPlan::
-  // bound_at_entry), so no bound flags travel with it.
+  // Candidate facts that could match `atom` under the enumerator's per-slot
+  // value array `slots`: if some atom position holds a constant or an
+  // already-bound variable, the most selective position index is used;
+  // otherwise the full predicate list is returned. Which slots are readable
+  // is static (TermPlan::bound_at_entry), so no bound flags travel with
+  // them. Candidates still need a full match check.
   const std::vector<FactId>& CandidatesFor(const AtomPlan& atom,
                                            const Value* slots) const;
 

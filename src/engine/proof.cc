@@ -22,7 +22,7 @@ Proof Proof::Extract(const ChaseGraph& graph, FactId goal) {
   std::map<FactId, std::vector<FactId>> children;
   for (FactId id : closure) {
     int parents_in = 0;
-    for (FactId parent : graph.node(id).parents) {
+    for (FactId parent : graph.node(id).derivation.parents) {
       if (members.count(parent) > 0) {
         ++parents_in;
         children[parent].push_back(id);
@@ -67,7 +67,7 @@ std::vector<std::string> Proof::RuleLabelSequence() const {
   std::vector<std::string> labels;
   labels.reserve(steps_.size());
   for (FactId id : steps_) {
-    labels.push_back(graph_->node(id).rule_label);
+    labels.push_back(graph_->node(id).derivation.rule_label);
   }
   return labels;
 }
@@ -94,8 +94,9 @@ std::string Proof::ToString() const {
   }
   for (FactId id : steps_) {
     const ChaseNode& node = graph_->node(id);
-    result += "  [" + node.rule_label + "]  " + node.fact.ToString() + "  <-";
-    for (FactId parent : node.parents) {
+    result += "  [" + node.derivation.rule_label + "]  " +
+              node.fact.ToString() + "  <-";
+    for (FactId parent : node.derivation.parents) {
       result += " " + graph_->node(parent).fact.ToString();
     }
     result += "\n";

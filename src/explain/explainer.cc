@@ -250,7 +250,7 @@ Result<std::string> Explainer::RenderUnit(const Proof& proof,
     std::vector<Binding> contribution_bindings;
     if (segment.multi_aggregation && steps.size() == 1) {
       for (const AggregateContribution& c :
-           graph.node(steps.front()).contributions) {
+           graph.node(steps.front()).derivation.contributions) {
         contribution_bindings.push_back(ContributionBinding(*rule, c, graph));
       }
     }
@@ -274,7 +274,7 @@ Result<std::string> Explainer::RenderUnit(const Proof& proof,
       if (values.empty()) {
         for (FactId step : steps) {
           std::optional<Value> v =
-              graph.node(step).binding.Get(token.variable);
+              graph.node(step).derivation.binding.Get(token.variable);
           if (v.has_value()) {
             values.push_back(DomainGlossary::FormatValue(*v, token.style));
           }

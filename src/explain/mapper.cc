@@ -20,7 +20,7 @@ std::map<std::string, std::vector<FactId>> GroupByRule(
     const ChaseGraph& graph, const std::vector<FactId>& steps) {
   std::map<std::string, std::vector<FactId>> groups;
   for (FactId id : steps) {
-    groups[graph.node(id).rule_label].push_back(id);
+    groups[graph.node(id).derivation.rule_label].push_back(id);
   }
   return groups;
 }
@@ -35,10 +35,10 @@ bool DuplicatesAreContributorParallel(const ChaseGraph& graph,
                                       const std::vector<FactId>& steps,
                                       const std::vector<FactId>& duplicated) {
   for (FactId agg_step : steps) {
-    const ChaseNode& node = graph.node(agg_step);
-    if (node.contributions.size() < 2) continue;
+    const Derivation& derivation = graph.node(agg_step).derivation;
+    if (derivation.contributions.size() < 2) continue;
     std::set<FactId> contributor_parents;
-    for (const AggregateContribution& c : node.contributions) {
+    for (const AggregateContribution& c : derivation.contributions) {
       contributor_parents.insert(c.parents.begin(), c.parents.end());
     }
     bool all_covered = true;
@@ -85,7 +85,7 @@ std::vector<ChaseMapper::Segment> ChaseMapper::SplitIntoSegments(
       }
       segment.steps.push_back(current);
       claimed.insert(current);
-      for (FactId parent : n.parents) stack.push_back(parent);
+      for (FactId parent : n.derivation.parents) stack.push_back(parent);
     }
     std::sort(segment.steps.begin(), segment.steps.end());
     std::sort(segment.anchors.begin(), segment.anchors.end());
@@ -113,8 +113,10 @@ const ExplanationTemplate* ChaseMapper::MatchSteps(
   // these demand the dashed (multi) variant.
   std::set<std::string> multi_rules;
   for (FactId id : steps) {
-    const ChaseNode& node = graph.node(id);
-    if (node.contributions.size() > 1) multi_rules.insert(node.rule_label);
+    const Derivation& derivation = graph.node(id).derivation;
+    if (derivation.contributions.size() > 1) {
+      multi_rules.insert(derivation.rule_label);
+    }
   }
   const ExplanationTemplate* base_match = nullptr;
   const ExplanationTemplate* any_match = nullptr;

@@ -201,17 +201,21 @@ Result<std::string> Verbalizer::VerbalizeStep(const ChaseGraph& graph,
                                    "a chase step: " +
                                    node.fact.ToString());
   }
-  const Rule* rule = program_->FindRule(node.rule_label);
-  if (rule == nullptr) {
-    return Status::Internal("rule not found: " + node.rule_label);
+  const Derivation& derivation = node.derivation;
+  const std::vector<Rule>& rules = program_->rules();
+  if (static_cast<size_t>(derivation.rule_index) >= rules.size()) {
+    return Status::Internal("rule not found: " + derivation.rule_label +
+                            " (index " +
+                            std::to_string(derivation.rule_index) + ")");
   }
+  const Rule* rule = &rules[derivation.rule_index];
   std::map<std::string, NumberStyle> styles = RuleVariableStyles(*rule);
   auto style_of = [&styles](const std::string& var) {
     auto it = styles.find(var);
     return it == styles.end() ? NumberStyle::kPlain : it->second;
   };
   std::vector<std::string> clauses;
-  for (FactId parent : node.parents) {
+  for (FactId parent : derivation.parents) {
     Result<std::string> text =
         glossary_->VerbalizeFact(graph.node(parent).fact);
     if (!text.ok()) return text.status();
@@ -226,8 +230,8 @@ Result<std::string> Verbalizer::VerbalizeStep(const ChaseGraph& graph,
       if (term.is_constant()) {
         absent.args.push_back(term.constant_value());
       } else {
-        absent.args.push_back(
-            node.binding.Get(term.variable_name()).value_or(Value::Null()));
+        absent.args.push_back(derivation.binding.Get(term.variable_name())
+                                  .value_or(Value::Null()));
       }
     }
     Result<std::string> text = glossary_->VerbalizeFact(absent);
@@ -236,12 +240,12 @@ Result<std::string> Verbalizer::VerbalizeStep(const ChaseGraph& graph,
   }
   // Multi-contributor aggregations get the explicit "given by the sum of"
   // clause; single-contributor ones are explained as plain rules.
-  if (rule->has_aggregate() && node.contributions.size() > 1) {
+  if (rule->has_aggregate() && derivation.contributions.size() > 1) {
     NumberStyle input_style = style_of(rule->aggregate->input_variable);
     std::optional<Value> result =
-        node.binding.Get(rule->aggregate->result_variable);
+        derivation.binding.Get(rule->aggregate->result_variable);
     std::vector<std::string> inputs;
-    for (const AggregateContribution& c : node.contributions) {
+    for (const AggregateContribution& c : derivation.contributions) {
       inputs.push_back(DomainGlossary::FormatValue(c.input, input_style));
     }
     clauses.push_back(
@@ -254,15 +258,16 @@ Result<std::string> Verbalizer::VerbalizeStep(const ChaseGraph& graph,
   // Ground condition clauses ("and 83% is higher than 50%") — the paper's
   // deterministic explanations spell them out, see Figure 15.
   for (const Condition& condition : rule->conditions) {
-    auto ground_side = [&node, &style_of](const Expr& side,
-                                          const Expr& other) -> std::string {
+    auto ground_side = [&derivation, &style_of](
+                           const Expr& side,
+                           const Expr& other) -> std::string {
       NumberStyle style = NumberStyle::kPlain;
       if (side.is_variable_leaf()) {
         style = style_of(side.term().variable_name());
       } else if (other.is_variable_leaf()) {
         style = style_of(other.term().variable_name());
       }
-      Result<Value> value = side.Eval(node.binding);
+      Result<Value> value = side.Eval(derivation.binding);
       if (!value.ok()) return side.ToString();
       return DomainGlossary::FormatValue(value.value(), style);
     };

@@ -268,24 +268,20 @@ bool ReadContributions(ByteReader& r, std::vector<AggregateContribution>* out) {
   return true;
 }
 
-// The shared core of a primary derivation and an alternative: rule index,
-// homomorphism, parents, contributions. Rule labels are re-derived from the
-// program at restore (the config hash pins the program text).
-void WriteDerivationCore(ByteWriter& w, int rule_index, const Binding& binding,
-                         const std::vector<FactId>& parents,
-                         const std::vector<AggregateContribution>& cs) {
-  w.I32(rule_index);
-  WriteBinding(w, binding);
-  WriteParents(w, parents);
-  WriteContributions(w, cs);
+// A primary derivation or an alternative: rule index, homomorphism,
+// parents, contributions. Rule labels are re-derived from the program at
+// restore (the config hash pins the program text).
+void WriteDerivation(ByteWriter& w, const Derivation& d) {
+  w.I32(d.rule_index);
+  WriteBinding(w, d.binding);
+  WriteParents(w, d.parents);
+  WriteContributions(w, d.contributions);
 }
 
-bool ReadDerivationCore(ByteReader& r, int* rule_index, Binding* binding,
-                        std::vector<FactId>* parents,
-                        std::vector<AggregateContribution>* cs) {
-  *rule_index = r.I32();
-  return ReadBinding(r, binding) && ReadParents(r, parents) &&
-         ReadContributions(r, cs);
+bool ReadDerivation(ByteReader& r, Derivation* out) {
+  out->rule_index = r.I32();
+  return ReadBinding(r, &out->binding) && ReadParents(r, &out->parents) &&
+         ReadContributions(r, &out->contributions);
 }
 
 // `with_alternatives` is false for delta nodes: a node born since the last
@@ -294,17 +290,13 @@ bool ReadDerivationCore(ByteReader& r, int* rule_index, Binding* binding,
 void WriteNode(ByteWriter& w, const ChaseNode& node, bool with_alternatives) {
   w.U32(static_cast<uint32_t>(node.fact.pred_symbol));
   WriteValues(w, node.fact.args);
-  WriteDerivationCore(w, node.rule_index, node.binding, node.parents,
-                      node.contributions);
+  WriteDerivation(w, node.derivation);
   if (!with_alternatives) {
     w.U32(0);
     return;
   }
   w.U32(static_cast<uint32_t>(node.alternatives.size()));
-  for (const Derivation& alt : node.alternatives) {
-    WriteDerivationCore(w, alt.rule_index, alt.binding, alt.parents,
-                        alt.contributions);
-  }
+  for (const Derivation& alt : node.alternatives) WriteDerivation(w, alt);
 }
 
 bool ReadNode(ByteReader& r, const std::vector<std::string>& symbols,
@@ -313,19 +305,12 @@ bool ReadNode(ByteReader& r, const std::vector<std::string>& symbols,
   if (!r.ok() || pred >= symbols.size()) return false;
   out->fact.predicate = symbols[pred];
   if (!ReadValues(r, &out->fact.args)) return false;
-  if (!ReadDerivationCore(r, &out->rule_index, &out->binding, &out->parents,
-                          &out->contributions)) {
-    return false;
-  }
+  if (!ReadDerivation(r, &out->derivation)) return false;
   const uint32_t alts = r.U32();
   if (!r.FitCount(alts, 13)) return false;
   out->alternatives.resize(alts);
-  for (uint32_t i = 0; i < alts; ++i) {
-    Derivation& alt = out->alternatives[i];
-    if (!ReadDerivationCore(r, &alt.rule_index, &alt.binding, &alt.parents,
-                            &alt.contributions)) {
-      return false;
-    }
+  for (Derivation& alt : out->alternatives) {
+    if (!ReadDerivation(r, &alt)) return false;
   }
   return true;
 }
@@ -628,8 +613,7 @@ Status CheckpointStore::AppendDelta(const CheckpointDelta& delta) {
   w.U32(static_cast<uint32_t>(delta.alternatives.size()));
   for (const AlternativeRecord& alt : delta.alternatives) {
     w.I32(alt.fact);
-    WriteDerivationCore(w, alt.derivation.rule_index, alt.derivation.binding,
-                        alt.derivation.parents, alt.derivation.contributions);
+    WriteDerivation(w, alt.derivation);
   }
   w.U32(static_cast<uint32_t>(delta.aggregates.size()));
   for (const AggregateEntryRecord& e : delta.aggregates) {
@@ -881,10 +865,7 @@ Result<ChaseCheckpoint> CheckpointStore::LoadImpl(
     for (uint32_t i = 0; i < alts; ++i) {
       AlternativeRecord alt;
       alt.fact = r.I32();
-      if (!ReadDerivationCore(r, &alt.derivation.rule_index,
-                              &alt.derivation.binding,
-                              &alt.derivation.parents,
-                              &alt.derivation.contributions)) {
+      if (!ReadDerivation(r, &alt.derivation)) {
         return MalformedRecord("delta alternatives", offset);
       }
       if (alt.fact < 0 || static_cast<size_t>(alt.fact) >= node_count) {

@@ -131,6 +131,14 @@ JsonWriter& JsonWriter::TemplexValue(const Value& value) {
 
 namespace {
 
+// The "rule" and "parents" members every derivation carries.
+void WriteRuleAndParents(JsonWriter& json, const Derivation& derivation) {
+  json.Key("rule").String(derivation.rule_label);
+  json.Key("parents").BeginArray();
+  for (FactId parent : derivation.parents) json.Int(parent);
+  json.EndArray();
+}
+
 void WriteFactNode(JsonWriter& json, const ChaseGraph& graph, FactId id) {
   const ChaseNode& node = graph.node(id);
   json.BeginObject();
@@ -140,13 +148,10 @@ void WriteFactNode(JsonWriter& json, const ChaseGraph& graph, FactId id) {
   for (const Value& arg : node.fact.args) json.TemplexValue(arg);
   json.EndArray();
   if (!node.is_extensional()) {
-    json.Key("rule").String(node.rule_label);
-    json.Key("parents").BeginArray();
-    for (FactId parent : node.parents) json.Int(parent);
-    json.EndArray();
-    if (!node.contributions.empty()) {
+    WriteRuleAndParents(json, node.derivation);
+    if (!node.derivation.contributions.empty()) {
       json.Key("contributions").BeginArray();
-      for (const AggregateContribution& c : node.contributions) {
+      for (const AggregateContribution& c : node.derivation.contributions) {
         json.BeginObject();
         json.Key("input").TemplexValue(c.input);
         json.Key("parents").BeginArray();
@@ -156,14 +161,13 @@ void WriteFactNode(JsonWriter& json, const ChaseGraph& graph, FactId id) {
       }
       json.EndArray();
     }
+    // Alternatives are summarized: their rule and parents, no
+    // contributions.
     if (!node.alternatives.empty()) {
       json.Key("alternatives").BeginArray();
       for (const Derivation& alt : node.alternatives) {
         json.BeginObject();
-        json.Key("rule").String(alt.rule_label);
-        json.Key("parents").BeginArray();
-        for (FactId parent : alt.parents) json.Int(parent);
-        json.EndArray();
+        WriteRuleAndParents(json, alt);
         json.EndObject();
       }
       json.EndArray();

@@ -9,6 +9,7 @@
 #include "engine/chase.h"
 #include "engine/proof.h"
 #include "explain/explainer.h"
+#include "io/json.h"
 
 namespace templex {
 namespace {
@@ -34,7 +35,7 @@ TEST(AlternativesTest, DualDerivationRecorded) {
   FactId id = chase.value().Find({"Control", {S("A"), S("C")}}).value();
   const ChaseNode& node = chase.value().graph.node(id);
   // Primary via the direct-majority rule plus at least one σ3 story.
-  std::set<std::string> rules = {node.rule_label};
+  std::set<std::string> rules = {node.derivation.rule_label};
   for (const Derivation& alt : node.alternatives) {
     rules.insert(alt.rule_label);
   }
@@ -83,12 +84,18 @@ TEST(AlternativesTest, WithAlternativeSwapsDerivation) {
   FactId id = chase.value().Find({"Control", {S("A"), S("C")}}).value();
   const ChaseNode& node = chase.value().graph.node(id);
   ASSERT_FALSE(node.alternatives.empty());
+  const std::string original = ChaseGraphToJson(chase.value().graph);
   ChaseGraph variant = chase.value().graph.WithAlternative(id, 0);
-  EXPECT_EQ(variant.node(id).rule_label, node.alternatives[0].rule_label);
-  // The original graph is untouched.
-  EXPECT_EQ(chase.value().graph.node(id).rule_label, node.rule_label);
-  // Round-trip: the old primary is now the alternative.
-  EXPECT_EQ(variant.node(id).alternatives[0].rule_label, node.rule_label);
+  EXPECT_EQ(variant.node(id).derivation.rule_label,
+            node.alternatives[0].rule_label);
+  // The old primary is now the alternative.
+  EXPECT_EQ(variant.node(id).alternatives[0].rule_label,
+            node.derivation.rule_label);
+  EXPECT_NE(ChaseGraphToJson(variant), original);
+  // The source graph is untouched, and swapping back restores it byte for
+  // byte.
+  EXPECT_EQ(ChaseGraphToJson(chase.value().graph), original);
+  EXPECT_EQ(ChaseGraphToJson(variant.WithAlternative(id, 0)), original);
 }
 
 TEST(AlternativesTest, ExplainAllDerivationsTellsBothStories) {
@@ -135,8 +142,9 @@ TEST(AlternativesTest, DuplicateRederivationNotRecordedTwice) {
   for (FactId id = 0; id < chase.value().graph.size(); ++id) {
     const ChaseNode& node = chase.value().graph.node(id);
     for (size_t i = 0; i < node.alternatives.size(); ++i) {
-      EXPECT_FALSE(node.alternatives[i].rule_index == node.rule_index &&
-                   node.alternatives[i].parents == node.parents);
+      EXPECT_FALSE(
+          node.alternatives[i].rule_index == node.derivation.rule_index &&
+          node.alternatives[i].parents == node.derivation.parents);
       for (size_t j = i + 1; j < node.alternatives.size(); ++j) {
         EXPECT_FALSE(
             node.alternatives[i].rule_index ==

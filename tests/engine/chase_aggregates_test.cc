@@ -86,11 +86,11 @@ TEST(ChaseAggregatesTest, AggregateProvenanceContributorsOrdered) {
       {{"Debt", {S("B"), S("C"), I(9)}},
        {"Debt", {S("A"), S("C"), I(2)}}});
   FactId id = chase.Find({"Total", {S("C"), I(11)}}).value();
-  const ChaseNode& node = chase.graph.node(id);
-  ASSERT_EQ(node.contributions.size(), 2u);
+  const Derivation& derivation = chase.graph.node(id).derivation;
+  ASSERT_EQ(derivation.contributions.size(), 2u);
   // Ordered by contributor key (debtor name), not insertion order.
-  EXPECT_EQ(node.contributions[0].input, I(2));
-  EXPECT_EQ(node.contributions[1].input, I(9));
+  EXPECT_EQ(derivation.contributions[0].input, I(2));
+  EXPECT_EQ(derivation.contributions[1].input, I(9));
 }
 
 TEST(ChaseAggregatesTest, PreConditionFiltersContributions) {

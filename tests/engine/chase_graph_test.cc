@@ -13,9 +13,9 @@ ChaseNode Node(const Fact& fact, std::vector<FactId> parents = {},
                const std::string& rule = "") {
   ChaseNode node;
   node.fact = fact;
-  node.parents = std::move(parents);
-  node.rule_label = rule;
-  node.rule_index = rule.empty() ? -1 : 0;
+  node.derivation.parents = std::move(parents);
+  node.derivation.rule_label = rule;
+  node.derivation.rule_index = rule.empty() ? -1 : 0;
   return node;
 }
 
@@ -121,6 +121,43 @@ TEST(ChaseGraphTest, DependsOnAgreesWithAncestorClosure) {
           << "node " << node << " target " << target;
     }
   }
+}
+
+// The content-based footprint behind the chase.memory.* gauges and every
+// budget trip point, pinned to absolute figures (64-bit libstdc++): a
+// change of node layout or of what a node is charged shows here before it
+// moves a budget. The node carries a binding, parents, two contributions
+// (one string past the small-string buffer) and an alternative; the graph
+// then records a second alternative the way the chase does.
+TEST(ChaseGraphTest, ApproxBytesPinned) {
+  ChaseNode node;
+  node.fact = {"Control",
+               {Value::String("Acme Holdings International"),
+                Value::String("bee")}};
+  Derivation& primary = node.derivation;
+  primary.rule_index = 2;
+  primary.rule_label = "sigma3";
+  primary.binding.Set("x", Value::String("Acme Holdings International"));
+  primary.binding.Set("s", Value::Double(0.75));
+  primary.parents = {0, 1, 2};
+  primary.contributions = {
+      {Value::Double(0.5), {0}},
+      {Value::String("a contributor key past SSO"), {1, 2}}};
+  Derivation alt;
+  alt.rule_index = 0;
+  alt.rule_label = "sigma1";
+  alt.binding.Set("y", Value::Int(7));
+  alt.parents = {3};
+  node.alternatives.push_back(alt);
+  EXPECT_EQ(ApproxBytes(node), 869);
+
+  ChaseGraph graph;
+  graph.AddNode(node);
+  Derivation later = alt;
+  later.parents = {4, 5};
+  graph.mutable_node(0).alternatives.push_back(later);
+  graph.AddApproxBytes(ApproxBytes(later));
+  EXPECT_EQ(graph.approx_bytes(), 1132);
 }
 
 }  // namespace

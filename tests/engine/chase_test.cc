@@ -84,10 +84,10 @@ TEST(ChaseTest, Example47ReproducesFigure8) {
   auto risk_c = chase.Find({"Risk", {S("C"), I(11)}});
   ASSERT_TRUE(risk_c.ok());
   // The aggregated Risk(C, 11) records both Debts contributions.
-  const ChaseNode& node = chase.graph.node(risk_c.value());
-  ASSERT_EQ(node.contributions.size(), 2u);
-  EXPECT_EQ(node.contributions[0].input, I(2));
-  EXPECT_EQ(node.contributions[1].input, I(9));
+  const Derivation& derivation = chase.graph.node(risk_c.value()).derivation;
+  ASSERT_EQ(derivation.contributions.size(), 2u);
+  EXPECT_EQ(derivation.contributions[0].input, I(2));
+  EXPECT_EQ(derivation.contributions[1].input, I(9));
 }
 
 TEST(ChaseTest, MonotoneAggregationEmitsRunningSums) {
@@ -298,11 +298,12 @@ TEST(ChaseTest, ProvenanceParentsInBodyOrder) {
   ASSERT_TRUE(result.ok());
   const ChaseResult& chase = result.value();
   FactId id = chase.Find({"Default", {S("A")}}).value();
-  const ChaseNode& node = chase.graph.node(id);
-  ASSERT_EQ(node.parents.size(), 2u);
-  EXPECT_EQ(chase.graph.node(node.parents[0]).fact.predicate, "Shock");
-  EXPECT_EQ(chase.graph.node(node.parents[1]).fact.predicate, "HasCapital");
-  EXPECT_EQ(node.rule_label, "alpha");
+  const Derivation& derivation = chase.graph.node(id).derivation;
+  ASSERT_EQ(derivation.parents.size(), 2u);
+  EXPECT_EQ(chase.graph.node(derivation.parents[0]).fact.predicate, "Shock");
+  EXPECT_EQ(chase.graph.node(derivation.parents[1]).fact.predicate,
+            "HasCapital");
+  EXPECT_EQ(derivation.rule_label, "alpha");
 }
 
 }  // namespace

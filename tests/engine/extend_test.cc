@@ -62,7 +62,9 @@ TEST(ExtendTest, AggregationStateCarriesAcrossExtension) {
   auto control = extended.value().Find({"Control", {S("X"), S("Y")}});
   ASSERT_TRUE(control.ok());
   // Both contributions appear in the provenance, 0.3 + 0.3 = 0.6.
-  EXPECT_EQ(extended.value().graph.node(control.value()).contributions.size(),
+  EXPECT_EQ(extended.value()
+                .graph.node(control.value())
+                .derivation.contributions.size(),
             2u);
 }
 

@@ -21,6 +21,19 @@ class FactStoreTest : public ::testing::Test {
     return id;
   }
 
+  // Candidates for the last body atom of `rule_text` with the slots of the
+  // atoms before it (first-occurrence order) set to `bound`: exactly the
+  // positions those atoms bind are probed, as in the chase's enumerator.
+  const std::vector<FactId>& Probe(const std::string& rule_text,
+                                   const std::vector<Value>& bound) {
+    const Rule rule = ParseRule(rule_text).value();
+    RulePlan plan = MakeRulePlan(rule, 0);
+    CompileMatchPlan(&plan, graph_.symbols());
+    std::vector<Value> slots(plan.num_slots());
+    std::copy(bound.begin(), bound.end(), slots.begin());
+    return store_.CandidatesFor(plan.body.back(), slots.data());
+  }
+
   ChaseGraph graph_;
   FactStore store_;
 };
@@ -40,11 +53,8 @@ TEST_F(FactStoreTest, CandidatesUseBoundPositionIndex) {
          {Value::String("A" + std::to_string(i)), Value::String("B"),
           Value::Double(0.6)}});
   }
-  Atom atom("Own", {Term::Variable("x"), Term::Variable("y"),
-                    Term::Variable("s")});
-  Binding binding;
-  binding.Set("x", Value::String("A3"));
-  const auto& candidates = store_.CandidatesFor(atom, binding);
+  const auto& candidates =
+      Probe("Key(x), Own(x, y, s) -> Out(x).", {Value::String("A3")});
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(graph_.node(candidates[0]).fact.args[0], Value::String("A3"));
 }
@@ -52,28 +62,18 @@ TEST_F(FactStoreTest, CandidatesUseBoundPositionIndex) {
 TEST_F(FactStoreTest, CandidatesWithConstantTerm) {
   Add({"Risk", {Value::String("C"), Value::Int(11), Value::String("long")}});
   Add({"Risk", {Value::String("C"), Value::Int(9), Value::String("short")}});
-  Atom atom("Risk", {Term::Variable("c"), Term::Variable("e"),
-                     Term::Constant(Value::String("long"))});
-  Binding empty;
-  const auto& candidates = store_.CandidatesFor(atom, empty);
-  ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_EQ(Probe("Risk(c, e, \"long\") -> Out(c).", {}).size(), 1u);
 }
 
 TEST_F(FactStoreTest, CandidatesEmptyWhenNoValueMatches) {
   Add({"Own", {Value::String("A"), Value::String("B"), Value::Double(0.6)}});
-  Atom atom("Own", {Term::Constant(Value::String("Z")), Term::Variable("y"),
-                    Term::Variable("s")});
-  Binding empty;
-  EXPECT_TRUE(store_.CandidatesFor(atom, empty).empty());
+  EXPECT_TRUE(Probe("Own(\"Z\", y, s) -> Out(y).", {}).empty());
 }
 
 TEST_F(FactStoreTest, CandidatesFallBackToFullPredicateScan) {
   Add({"Own", {Value::String("A"), Value::String("B"), Value::Double(0.6)}});
   Add({"Own", {Value::String("B"), Value::String("C"), Value::Double(0.7)}});
-  Atom atom("Own", {Term::Variable("x"), Term::Variable("y"),
-                    Term::Variable("s")});
-  Binding empty;
-  EXPECT_EQ(store_.CandidatesFor(atom, empty).size(), 2u);
+  EXPECT_EQ(Probe("Own(x, y, s) -> Out(x).", {}).size(), 2u);
 }
 
 TEST_F(FactStoreTest, CandidatesPickMostSelectiveBoundPosition) {
@@ -84,24 +84,20 @@ TEST_F(FactStoreTest, CandidatesPickMostSelectiveBoundPosition) {
          {Value::String("A" + std::to_string(i)), Value::String("Hub"),
           Value::Double(0.6)}});
   }
-  Atom atom("Own", {Term::Variable("x"), Term::Variable("y"),
-                    Term::Variable("s")});
-  Binding binding;
-  binding.Set("x", Value::String("A0"));
-  binding.Set("y", Value::String("Hub"));
-  EXPECT_EQ(store_.CandidatesFor(atom, binding).size(), 1u);
+  EXPECT_EQ(Probe("Key(x, y), Own(x, y, s) -> Out(x).",
+                  {Value::String("A0"), Value::String("Hub")})
+                .size(),
+            1u);
 }
 
 TEST_F(FactStoreTest, CandidatesEmptyWhenBoundValueNeverIndexed) {
   Add({"Own", {Value::String("A"), Value::String("B"), Value::Double(0.6)}});
-  Atom atom("Own", {Term::Variable("x"), Term::Variable("y"),
-                    Term::Variable("s")});
-  Binding binding;
-  binding.Set("x", Value::String("NeverSeen"));
-  EXPECT_TRUE(store_.CandidatesFor(atom, binding).empty());
+  EXPECT_TRUE(
+      Probe("Key(x), Own(x, y, s) -> Out(x).", {Value::String("NeverSeen")})
+          .empty());
 }
 
-TEST_F(FactStoreTest, CompiledPlanCandidatesMatchLegacyLookup) {
+TEST_F(FactStoreTest, CompiledPlanCandidatesFollowBoundAtEntry) {
   for (int i = 0; i < 4; ++i) {
     Add({"Own",
          {Value::String("A" + std::to_string(i)), Value::String("B"),
@@ -114,8 +110,8 @@ TEST_F(FactStoreTest, CompiledPlanCandidatesMatchLegacyLookup) {
   CompileMatchPlan(&plan, graph_.symbols());
 
   // Slot 0 is x, first bound by the Company atom, so Own's position 0 is
-  // bound_at_entry: with x == "A2" in the slot, the compiled probe must
-  // hit the same position index the string path uses.
+  // bound_at_entry: with x == "A2" in the slot, the probe must hit the
+  // position index of x.
   ASSERT_TRUE(plan.body[1].terms[0].bound_at_entry);
   std::vector<Value> slots(plan.num_slots());
   slots[0] = Value::String("A2");
@@ -176,11 +172,8 @@ TEST_F(FactStoreTest, CollisionGroupsCountForcedPosKeyCollisions) {
 
   // Collided buckets stay sound: the candidate list is a superset that the
   // matcher verifies, so a bound probe still finds its fact.
-  Atom atom("Own", {Term::Variable("x"), Term::Variable("y"),
-                    Term::Variable("s")});
-  Binding binding;
-  binding.Set("x", Value::String("A7"));
-  const auto& candidates = store_.CandidatesFor(atom, binding);
+  const auto& candidates =
+      Probe("Key(x), Own(x, y, s) -> Out(x).", {Value::String("A7")});
   bool found = false;
   for (FactId id : candidates) {
     if (graph_.node(id).fact.args[0] == Value::String("A7")) found = true;

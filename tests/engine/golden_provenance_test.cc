@@ -46,7 +46,7 @@ uint64_t Fnv1a(const std::string& text) {
 // compare the graph and stats alone).
 std::string Dump(const ChaseResult& chase, bool counters) {
   std::ostringstream out;
-  auto describe = [&out](const auto& d) {
+  auto describe = [&out](const Derivation& d) {
     out << "|rule=" << d.rule_index << "/" << d.rule_label
         << "|theta=" << d.binding.ToString() << "|parents=";
     for (FactId parent : d.parents) out << parent << ",";
@@ -60,7 +60,7 @@ std::string Dump(const ChaseResult& chase, bool counters) {
   for (FactId id = 0; id < chase.graph.size(); ++id) {
     const ChaseNode& node = chase.graph.node(id);
     out << id << ":" << node.fact.ToString();
-    describe(node);
+    describe(node.derivation);
     for (const Derivation& alt : node.alternatives) {
       out << "|alt:";
       describe(alt);

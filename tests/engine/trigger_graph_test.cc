@@ -24,7 +24,7 @@ namespace {
 std::vector<std::string> GraphSignature(const ChaseResult& chase) {
   std::vector<std::string> signature;
   signature.reserve(chase.graph.size());
-  auto describe = [](std::ostringstream& out, const auto& d) {
+  auto describe = [](std::ostringstream& out, const Derivation& d) {
     out << "|rule=" << d.rule_index << "/" << d.rule_label
         << "|theta=" << d.binding.ToString() << "|parents=";
     for (FactId parent : d.parents) out << parent << ",";
@@ -33,7 +33,7 @@ std::vector<std::string> GraphSignature(const ChaseResult& chase) {
     const ChaseNode& node = chase.graph.node(id);
     std::ostringstream out;
     out << node.fact.ToString();
-    describe(out, node);
+    describe(out, node.derivation);
     for (const Derivation& alt : node.alternatives) {
       out << "|alt:";
       describe(out, alt);

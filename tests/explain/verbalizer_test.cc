@@ -203,6 +203,19 @@ TEST_F(GroundVerbalizationTest, ExtensionalStepRejected) {
   EXPECT_FALSE(text.ok());
 }
 
+// A step names its rule by index into the verbalizer's program; an index
+// the program does not have is an internal error, not a crash.
+TEST_F(GroundVerbalizationTest, StepWithUnknownRuleIndexIsInternal) {
+  Verbalizer verbalizer(&program_, &glossary_);
+  FactId id = chase_->Find({"Default", {S("A")}}).value();
+  ChaseGraph graph = chase_->graph;
+  graph.mutable_node(id).derivation.rule_index =
+      static_cast<int>(program_.rules().size());
+  auto text = verbalizer.VerbalizeStep(graph, id);
+  ASSERT_FALSE(text.ok());
+  EXPECT_EQ(text.status().code(), StatusCode::kInternal);
+}
+
 TEST_F(GroundVerbalizationTest, ProofConcatenatesAllSteps) {
   Verbalizer verbalizer(&program_, &glossary_);
   FactId goal = chase_->Find({"Default", {S("C")}}).value();

@@ -58,7 +58,7 @@ TEST_F(PaperWalkthroughTest, Figure4And5ReasoningPaths) {
 TEST_F(PaperWalkthroughTest, Figure8ChaseGraph) {
   EXPECT_TRUE(chase_->Find({"Default", {S("C")}}).ok());
   FactId risk = chase_->Find({"Risk", {S("C"), I(11)}}).value();
-  EXPECT_EQ(chase_->graph.node(risk).contributions.size(), 2u);
+  EXPECT_EQ(chase_->graph.node(risk).derivation.contributions.size(), 2u);
 }
 
 TEST_F(PaperWalkthroughTest, Example47ChaseStepSequence) {

@@ -27,11 +27,11 @@ ChaseNode MakeNode(int pred_symbol, const char* predicate,
   node.fact.pred_symbol = pred_symbol;
   node.fact.predicate = predicate;
   node.fact.args = std::move(args);
-  node.rule_index = rule_index;
-  node.parents = std::move(parents);
+  node.derivation.rule_index = rule_index;
+  node.derivation.parents = std::move(parents);
   if (rule_index >= 0) {
-    node.binding.Set("x", Value::String("acme"));
-    node.binding.Set("s", Value::Double(0.75));
+    node.derivation.binding.Set("x", Value::String("acme"));
+    node.derivation.binding.Set("s", Value::Double(0.75));
   }
   return node;
 }
@@ -55,11 +55,14 @@ ChaseCheckpoint MakeCheckpoint() {
   AggregateContribution contribution;
   contribution.input = Value::Double(0.6);
   contribution.parents = {0};
-  derived.contributions.push_back(contribution);
+  derived.derivation.contributions.push_back(contribution);
   Derivation alt;
   alt.rule_index = 4;
   alt.binding.Set("y", Value::Int(-12));
   alt.parents = {1};
+  contribution.input = Value::Int(-3);
+  contribution.parents = {1, 0};
+  alt.contributions.push_back(contribution);
   derived.alternatives.push_back(alt);
   ckpt.nodes.push_back(derived);
 
@@ -78,12 +81,17 @@ ChaseCheckpoint MakeCheckpoint() {
   return ckpt;
 }
 
-void ExpectDerivationEq(const Derivation& got, int rule_index,
-                        const Binding& binding,
-                        const std::vector<FactId>& parents) {
-  EXPECT_EQ(got.rule_index, rule_index);
-  EXPECT_EQ(got.binding.ToString(), binding.ToString());
-  EXPECT_EQ(got.parents, parents);
+// Everything a checkpoint stores of a derivation (the rule label is
+// re-derived from the program at restore).
+void ExpectDerivationEq(const Derivation& got, const Derivation& want) {
+  EXPECT_EQ(got.rule_index, want.rule_index);
+  EXPECT_EQ(got.binding.ToString(), want.binding.ToString());
+  EXPECT_EQ(got.parents, want.parents);
+  ASSERT_EQ(got.contributions.size(), want.contributions.size());
+  for (size_t c = 0; c < want.contributions.size(); ++c) {
+    EXPECT_EQ(got.contributions[c].input, want.contributions[c].input);
+    EXPECT_EQ(got.contributions[c].parents, want.contributions[c].parents);
+  }
 }
 
 void ExpectCheckpointEq(const ChaseCheckpoint& got,
@@ -96,19 +104,10 @@ void ExpectCheckpointEq(const ChaseCheckpoint& got,
     const ChaseNode& w = want.nodes[i];
     EXPECT_EQ(g.fact.predicate, w.fact.predicate) << "node " << i;
     EXPECT_EQ(g.fact.args, w.fact.args) << "node " << i;
-    EXPECT_EQ(g.rule_index, w.rule_index);
-    EXPECT_EQ(g.binding.ToString(), w.binding.ToString());
-    EXPECT_EQ(g.parents, w.parents);
-    ASSERT_EQ(g.contributions.size(), w.contributions.size());
-    for (size_t c = 0; c < w.contributions.size(); ++c) {
-      EXPECT_EQ(g.contributions[c].input, w.contributions[c].input);
-      EXPECT_EQ(g.contributions[c].parents, w.contributions[c].parents);
-    }
+    ExpectDerivationEq(g.derivation, w.derivation);
     ASSERT_EQ(g.alternatives.size(), w.alternatives.size());
     for (size_t a = 0; a < w.alternatives.size(); ++a) {
-      ExpectDerivationEq(g.alternatives[a], w.alternatives[a].rule_index,
-                         w.alternatives[a].binding,
-                         w.alternatives[a].parents);
+      ExpectDerivationEq(g.alternatives[a], w.alternatives[a]);
     }
   }
   ASSERT_EQ(got.aggregates.size(), want.aggregates.size());
@@ -194,7 +193,7 @@ TEST(CheckpointStoreTest, JournalDeltasReplayOnTopOfSnapshot) {
   EXPECT_EQ(got.value().symbols.size(), 4u);
   EXPECT_EQ(got.value().nodes[3].fact.predicate, "Path");
   ASSERT_EQ(got.value().nodes[2].alternatives.size(), 2u);
-  EXPECT_EQ(got.value().nodes[2].alternatives[1].rule_index, 5);
+  ExpectDerivationEq(got.value().nodes[2].alternatives[1], alt.derivation);
   // The delta's aggregate update replaces the snapshot entry (overwrite
   // replay), so both records surface but the later one wins downstream;
   // here we only pin that both are present in order.
