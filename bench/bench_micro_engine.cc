@@ -39,16 +39,33 @@ void BM_ChaseCompanyControl(benchmark::State& state) {
   std::vector<Fact> edb = OwnershipEdb(static_cast<int>(state.range(0)));
   ChaseEngine engine;
   int64_t derived = 0;
+  int64_t alternatives = 0;
+  double bytes_per_fact = 0;
   for (auto _ : state) {
     auto result = engine.Run(program, edb);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
+    const ChaseGraph& graph = result.value().graph;
     derived = result.value().stats.derived_facts;
-    benchmark::DoNotOptimize(result.value().graph.size());
+    benchmark::DoNotOptimize(graph.size());
+    state.PauseTiming();  // the counters' walk is not part of the chase
+    alternatives = 0;
+    for (FactId id = 0; id < graph.size(); ++id) {
+      alternatives += static_cast<int64_t>(graph.node(id).alternatives.size());
+    }
+    bytes_per_fact = static_cast<double>(graph.approx_bytes()) / graph.size();
+    state.ResumeTiming();
   }
   state.counters["edb"] = static_cast<double>(edb.size());
   state.counters["derived"] = static_cast<double>(derived);
+  state.counters["alternatives"] = static_cast<double>(alternatives);
+  state.counters["approx_bytes_per_fact"] = bytes_per_fact;
 }
-BENCHMARK(BM_ChaseCompanyControl)->Arg(20)->Arg(50)->Arg(100)->Arg(200);
+BENCHMARK(BM_ChaseCompanyControl)
+    ->Arg(20)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(200)
+    ->Arg(800);
 
 // The same chase on a pool: the match phase fans out, the apply phase
 // (aggregation and head creation, most of this program) stays on the

@@ -1517,10 +1517,11 @@ class ChaseRun {
     }
   }
 
-  // Keeps a bounded list of distinct, acyclic re-derivations of an existing
-  // fact (other reasoning stories for the analyst). The cap is checked
-  // before anything is materialized; the candidate's parents are built
-  // first, and its binding and contributions only once it is recorded.
+  // Keeps a bounded list of acyclic re-derivations of an existing fact that
+  // tell a different story (other reasoning stories for the analyst). The
+  // cap is checked before anything is materialized; the candidate's parents
+  // are built first, and its binding and contributions only once it is
+  // recorded.
   void MaybeRecordAlternative(FactId id, const RulePlan& plan,
                               const Value* slots,
                               std::span<const FactId> facts,
@@ -1532,15 +1533,30 @@ class ChaseRun {
       return;
     }
     const std::span<const FactId> parents = DerivationParents(facts, group);
-    // Distinctness first: re-finding an already-recorded derivation is by
-    // far the common case (aggregates re-emit their group every round), and
-    // comparing (rule, parents) is a few int compares — the ancestor walk
-    // below is O(sub-graph) and must only run for genuinely new stories.
+    // Distinctness first: re-finding a recorded story is by far the common
+    // case (aggregates re-emit their group every round), and the tests are
+    // int compares — the ancestor walk below is O(sub-graph) and must only
+    // run for genuinely new stories. A rule without an aggregate repeats a
+    // story with the same parents. An aggregate re-emission repeats one
+    // whenever a recorded derivation by its rule has parents included in
+    // the candidate's: the same monotonic fold seen again with more
+    // contributors, which maps onto the same reasoning path (DESIGN.md §3).
+    bool marked = false;
     for (size_t k = 0; k <= existing.alternatives.size(); ++k) {
       const Derivation& known =
           k == 0 ? existing.derivation : existing.alternatives[k - 1];
-      if (known.rule_index == plan.index &&
-          std::ranges::equal(known.parents, parents)) {
+      if (known.rule_index != plan.index) continue;
+      if (group == nullptr) {
+        if (std::ranges::equal(known.parents, parents)) return;
+        continue;
+      }
+      if (!marked) {
+        MarkParents(parents);
+        marked = true;
+      }
+      if (std::ranges::all_of(known.parents, [this](FactId parent) {
+            return parent_stamp_[parent] == parent_epoch_;
+          })) {
         return;
       }
     }
@@ -1561,6 +1577,19 @@ class ChaseRun {
       pending_alternatives_.emplace_back(
           id, static_cast<int>(existing.alternatives.size()) - 1);
     }
+  }
+
+  // Stamps `parents` with a fresh epoch in parent_stamp_, so an inclusion
+  // test is one compare per id and allocates nothing.
+  void MarkParents(std::span<const FactId> parents) {
+    if (parent_stamp_.size() < static_cast<size_t>(result_.graph.size())) {
+      parent_stamp_.resize(result_.graph.size(), 0);
+    }
+    if (++parent_epoch_ == 0) {  // wrapped: old marks could alias the epoch
+      std::fill(parent_stamp_.begin(), parent_stamp_.end(), 0);
+      parent_epoch_ = 1;
+    }
+    for (FactId parent : parents) parent_stamp_[parent] = parent_epoch_;
   }
 
   const Program& program_;
@@ -1592,6 +1621,10 @@ class ChaseRun {
   std::vector<Value> group_key_scratch_;
   std::vector<Value> contributor_key_scratch_;
   std::vector<FactId> parents_scratch_;
+  // Epoch stamps over fact ids, marking a candidate alternative's parents
+  // (MarkParents).
+  std::vector<uint32_t> parent_stamp_;
+  uint32_t parent_epoch_ = 0;
   // Checkpointing state (Run() with ChaseConfig::checkpoint enabled; null /
   // empty otherwise). The watermarks delimit what the next delta carries;
   // the pending lists capture mutations of pre-watermark state that a

@@ -84,7 +84,12 @@ std::optional<FactId> ChaseGraph::Find(const Fact& fact, size_t hash) const {
 }
 
 std::vector<FactId> ChaseGraph::AncestorClosure(FactId id) const {
-  std::vector<FactId> stack = {id};
+  return AncestorClosure(std::span<const FactId>(&id, 1));
+}
+
+std::vector<FactId> ChaseGraph::AncestorClosure(
+    std::span<const FactId> roots) const {
+  std::vector<FactId> stack(roots.begin(), roots.end());
   std::vector<bool> seen(nodes_.size(), false);
   std::vector<FactId> result;
   while (!stack.empty()) {
@@ -143,16 +148,6 @@ const std::vector<FactId>& ChaseGraph::FactsOf(Symbol predicate) const {
     return empty_;
   }
   return by_predicate_[predicate];
-}
-
-ChaseGraph ChaseGraph::WithAlternative(FactId id,
-                                       size_t alternative_index) const {
-  ChaseGraph copy = *this;
-  ChaseNode& node = copy.nodes_[id];
-  if (alternative_index < node.alternatives.size()) {
-    std::swap(node.derivation, node.alternatives[alternative_index]);
-  }
-  return copy;
 }
 
 std::string ChaseGraph::ToDot(FactId goal) const {

@@ -3,6 +3,7 @@
 
 #include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,8 @@ struct Derivation {
   // Non-empty iff the deriving rule aggregates; one entry per contributor
   // that participated in the emitted aggregate value.
   std::vector<AggregateContribution> contributions;
+
+  bool is_extensional() const { return rule_index < 0; }
 };
 
 // Content-based footprint of a derivation / contribution (see
@@ -49,19 +52,23 @@ int64_t ApproxBytes(const Derivation& derivation);
 
 // One node of the chase graph G(D, Σ): a fact plus how it was derived. The
 // first (chronologically earliest) derivation is the primary one used by
-// proofs; later re-derivations of the same fact through different rules or
-// facts are kept as bounded `alternatives` — the other reasoning stories an
-// analyst can ask for (Explainer::ExplainAllDerivations).
+// proofs; later re-derivations that tell a different story are kept as
+// bounded `alternatives` — the other reasoning stories an analyst can ask
+// for (Explainer::ExplainAllDerivations).
 struct ChaseNode {
   Fact fact;
   Derivation derivation;
 
-  // Alternative derivations (acyclic ones only: no parent depends on this
-  // node along primary derivations, though a parent may postdate it),
-  // capped by ChaseConfig::max_alternative_derivations.
+  // Alternative derivations, capped by
+  // ChaseConfig::max_alternative_derivations. Each one is acyclic (no
+  // parent depends on this node along primary derivations, though a parent
+  // may postdate it) and tells a new story: no recorded derivation by the
+  // same rule has the same parents or, for an aggregate rule, parents
+  // included in its own (a re-emission of the fold with more contributors
+  // is the same story; DESIGN.md §3).
   std::vector<Derivation> alternatives;
 
-  bool is_extensional() const { return derivation.rule_index < 0; }
+  bool is_extensional() const { return derivation.is_extensional(); }
 };
 
 int64_t ApproxBytes(const ChaseNode& node);
@@ -103,6 +110,8 @@ class ChaseGraph {
   // All ancestor fact ids of `id` (including `id`), ascending — i.e. the
   // sub-chase-graph that derives the fact, topologically ordered.
   std::vector<FactId> AncestorClosure(FactId id) const;
+  // The union of the closures of every id in `roots`, ascending.
+  std::vector<FactId> AncestorClosure(std::span<const FactId> roots) const;
 
   // True iff `target` is in AncestorClosure(node) — node transitively
   // depends on target along primary derivations (node == target counts).
@@ -112,10 +121,8 @@ class ChaseGraph {
   // higher than target's cannot depend on it: that test answers most calls
   // without a walk, and prunes the walk that remains, together with every
   // branch that drops below `target`'s id. The walk reuses per-thread
-  // scratch rather than allocating per call.
-  // Precondition: every node's primary parents have smaller ids — true for
-  // any graph built by the chase, but not for WithAlternative copies,
-  // whose swapped-in primaries may point forward.
+  // scratch rather than allocating per call. It relies on the graph's
+  // invariant that every node's primary parents have smaller ids.
   bool DependsOn(FactId node, FactId target) const;
 
   // All facts of a given predicate, ascending by id. O(1): returns the
@@ -134,11 +141,6 @@ class ChaseGraph {
   // GraphViz DOT rendering of the sub-graph deriving `goal` (the whole
   // graph if goal == kInvalidFactId). Edges are labelled with rule labels.
   std::string ToDot(FactId goal = kInvalidFactId) const;
-
-  // A copy of this graph in which node `id`'s primary derivation is
-  // swapped with its `alternative_index`-th alternative — the basis for
-  // explaining a fact "the other way".
-  ChaseGraph WithAlternative(FactId id, size_t alternative_index) const;
 
   // Content-based footprint of the graph (nodes + a fixed per-node index
   // overhead), maintained incrementally by AddNode. Mutations that bypass

@@ -1,9 +1,6 @@
 #include "engine/proof.h"
 
 #include <algorithm>
-#include <map>
-#include <queue>
-#include <set>
 
 namespace templex {
 
@@ -11,63 +8,42 @@ Proof Proof::Extract(const ChaseGraph& graph, FactId goal) {
   Proof proof;
   proof.graph_ = &graph;
   proof.goal_ = goal;
-  // Topologically order the derivation sub-graph. In a freshly chased
-  // graph parents always precede children by id, but in a variant graph
-  // (ChaseGraph::WithAlternative) the swapped derivation may point at
-  // later-derived facts — so we Kahn-sort explicitly, breaking ties by id
-  // to keep the primary-graph order identical to the id order.
-  const std::vector<FactId> closure = graph.AncestorClosure(goal);
-  const std::set<FactId> members(closure.begin(), closure.end());
-  std::map<FactId, int> pending;  // unprocessed parents per node
-  std::map<FactId, std::vector<FactId>> children;
-  for (FactId id : closure) {
-    int parents_in = 0;
-    for (FactId parent : graph.node(id).derivation.parents) {
-      if (members.count(parent) > 0) {
-        ++parents_in;
-        children[parent].push_back(id);
-      }
-    }
-    pending[id] = parents_in;
-  }
-  std::priority_queue<FactId, std::vector<FactId>, std::greater<FactId>>
-      ready;
-  for (FactId id : closure) {
-    if (pending[id] == 0) ready.push(id);
-  }
-  std::vector<FactId> ordered;
-  while (!ready.empty()) {
-    FactId id = ready.top();
-    ready.pop();
-    ordered.push_back(id);
-    for (FactId child : children[id]) {
-      if (--pending[child] == 0) ready.push(child);
-    }
-  }
-  // A cycle would leave nodes unemitted; append them in id order so the
-  // proof is at least complete (cannot happen for engine-produced graphs).
-  if (ordered.size() < closure.size()) {
-    for (FactId id : closure) {
-      if (std::find(ordered.begin(), ordered.end(), id) == ordered.end()) {
-        ordered.push_back(id);
-      }
-    }
-  }
-  for (FactId id : ordered) {
-    if (graph.node(id).is_extensional()) {
-      proof.edb_facts_.push_back(id);
-    } else {
-      proof.steps_.push_back(id);
-    }
-  }
+  // Every primary parent has a smaller id than its child, so the ascending
+  // closure is a topological order: parents first, ties by smallest id.
+  proof.Classify(graph.AncestorClosure(goal));
   return proof;
+}
+
+Proof Proof::Extract(const ChaseGraph& graph, FactId goal,
+                     const Derivation& goal_derivation) {
+  Proof proof;
+  proof.graph_ = &graph;
+  proof.goal_ = goal;
+  proof.goal_derivation_ = &goal_derivation;
+  // The rest of the closure reads primaries, so ascending is topological
+  // there; the goal, which none of it depends on, goes last even when some
+  // of its parents postdate it.
+  std::vector<FactId> ordered = graph.AncestorClosure(goal_derivation.parents);
+  ordered.push_back(goal);
+  proof.Classify(ordered);
+  return proof;
+}
+
+void Proof::Classify(const std::vector<FactId>& ordered) {
+  for (FactId id : ordered) {
+    if (derivation(id).is_extensional()) {
+      edb_facts_.push_back(id);
+    } else {
+      steps_.push_back(id);
+    }
+  }
 }
 
 std::vector<std::string> Proof::RuleLabelSequence() const {
   std::vector<std::string> labels;
   labels.reserve(steps_.size());
   for (FactId id : steps_) {
-    labels.push_back(graph_->node(id).derivation.rule_label);
+    labels.push_back(derivation(id).rule_label);
   }
   return labels;
 }
@@ -93,10 +69,10 @@ std::string Proof::ToString() const {
     result += "  [edb] " + graph_->node(id).fact.ToString() + "\n";
   }
   for (FactId id : steps_) {
-    const ChaseNode& node = graph_->node(id);
-    result += "  [" + node.derivation.rule_label + "]  " +
-              node.fact.ToString() + "  <-";
-    for (FactId parent : node.derivation.parents) {
+    const Derivation& step = derivation(id);
+    result += "  [" + step.rule_label + "]  " +
+              graph_->node(id).fact.ToString() + "  <-";
+    for (FactId parent : step.parents) {
       result += " " + graph_->node(parent).fact.ToString();
     }
     result += "\n";

@@ -14,12 +14,30 @@ namespace templex {
 // template mapper consumes (Example 4.7: τ = {α, β, γ, β, γ}).
 class Proof {
  public:
-  // Extracts the proof of `goal` from `graph`. `graph` must outlive the
-  // proof (the proof stores a pointer).
+  // Extracts the proof of `goal` from `graph`, reading every node's primary
+  // derivation. `graph` must outlive the proof (the proof stores a
+  // pointer).
   static Proof Extract(const ChaseGraph& graph, FactId goal);
+
+  // The proof of `goal` when it is derived by `goal_derivation` (one of its
+  // alternatives, say) instead of its primary derivation; every other node
+  // keeps its primary. The goal must not be an ancestor of
+  // `goal_derivation`'s parents, which holds for every alternative the
+  // chase records. `goal_derivation` must outlive the proof too.
+  static Proof Extract(const ChaseGraph& graph, FactId goal,
+                       const Derivation& goal_derivation);
 
   const ChaseGraph& graph() const { return *graph_; }
   FactId goal() const { return goal_; }
+
+  // The derivation this proof reads for node `id`: the goal's override if
+  // one was given, the graph's primary derivation otherwise. Readers of a
+  // proof take derivations from here, never from graph().node(id).
+  const Derivation& derivation(FactId id) const {
+    return id == goal_ && goal_derivation_ != nullptr
+               ? *goal_derivation_
+               : graph_->node(id).derivation;
+  }
 
   // Intensional facts of the proof in derivation order (the goal is last).
   const std::vector<FactId>& steps() const { return steps_; }
@@ -43,8 +61,13 @@ class Proof {
   std::string ToString() const;
 
  private:
+  // Splits `ordered` (a topological order of the closure) into steps_ and
+  // edb_facts_.
+  void Classify(const std::vector<FactId>& ordered);
+
   const ChaseGraph* graph_ = nullptr;
   FactId goal_ = kInvalidFactId;
+  const Derivation* goal_derivation_ = nullptr;
   std::vector<FactId> steps_;
   std::vector<FactId> edb_facts_;
 };

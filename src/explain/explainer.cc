@@ -193,11 +193,10 @@ Result<std::vector<std::string>> Explainer::ExplainAllDerivations(
   Result<std::string> primary = Explain(chase, fact);
   if (!primary.ok()) return primary.status();
   stories.push_back(std::move(primary).value());
-  const ChaseNode& node = chase.graph.node(id.value());
-  for (size_t i = 0; i < node.alternatives.size(); ++i) {
-    ChaseGraph variant = chase.graph.WithAlternative(id.value(), i);
-    Result<std::string> text =
-        ExplainProof(Proof::Extract(variant, id.value()));
+  for (const Derivation& alternative :
+       chase.graph.node(id.value()).alternatives) {
+    Result<std::string> text = ExplainProof(
+        Proof::Extract(chase.graph, id.value(), alternative));
     if (!text.ok()) return text.status();
     stories.push_back(std::move(text).value());
   }
@@ -228,7 +227,8 @@ Result<std::string> Explainer::RenderUnit(const Proof& proof,
                                           bool enhanced) const {
   const ChaseGraph& graph = proof.graph();
   if (unit.is_fallback()) {
-    return verbalizer_->VerbalizeStep(graph, unit.fallback_step);
+    return verbalizer_->VerbalizeStep(graph, unit.fallback_step,
+                                      proof.derivation(unit.fallback_step));
   }
   const TemplateInstance& instance = *unit.instance;
   const ExplanationTemplate& tmpl = *instance.tmpl;
@@ -250,7 +250,7 @@ Result<std::string> Explainer::RenderUnit(const Proof& proof,
     std::vector<Binding> contribution_bindings;
     if (segment.multi_aggregation && steps.size() == 1) {
       for (const AggregateContribution& c :
-           graph.node(steps.front()).derivation.contributions) {
+           proof.derivation(steps.front()).contributions) {
         contribution_bindings.push_back(ContributionBinding(*rule, c, graph));
       }
     }
@@ -274,7 +274,7 @@ Result<std::string> Explainer::RenderUnit(const Proof& proof,
       if (values.empty()) {
         for (FactId step : steps) {
           std::optional<Value> v =
-              graph.node(step).derivation.binding.Get(token.variable);
+              proof.derivation(step).binding.Get(token.variable);
           if (v.has_value()) {
             values.push_back(DomainGlossary::FormatValue(*v, token.style));
           }

@@ -17,10 +17,10 @@ bool IsCriticalPredicate(const StructuralAnalysis& analysis,
 
 // Rule labels of `steps`, deduplicated, plus per-label step lists.
 std::map<std::string, std::vector<FactId>> GroupByRule(
-    const ChaseGraph& graph, const std::vector<FactId>& steps) {
+    const Proof& proof, const std::vector<FactId>& steps) {
   std::map<std::string, std::vector<FactId>> groups;
   for (FactId id : steps) {
-    groups[graph.node(id).derivation.rule_label].push_back(id);
+    groups[proof.derivation(id).rule_label].push_back(id);
   }
   return groups;
 }
@@ -31,11 +31,11 @@ std::map<std::string, std::vector<FactId>> GroupByRule(
 // controls jointly contributing to σ3. Any other duplication (e.g. two σ3
 // iterations of a control chain) cannot be covered by one path, whose rules
 // are distinct.
-bool DuplicatesAreContributorParallel(const ChaseGraph& graph,
+bool DuplicatesAreContributorParallel(const Proof& proof,
                                       const std::vector<FactId>& steps,
                                       const std::vector<FactId>& duplicated) {
   for (FactId agg_step : steps) {
-    const Derivation& derivation = graph.node(agg_step).derivation;
+    const Derivation& derivation = proof.derivation(agg_step);
     if (derivation.contributions.size() < 2) continue;
     std::set<FactId> contributor_parents;
     for (const AggregateContribution& c : derivation.contributions) {
@@ -74,10 +74,11 @@ std::vector<ChaseMapper::Segment> ChaseMapper::SplitIntoSegments(
       FactId current = stack.back();
       stack.pop_back();
       if (!visited.insert(current).second) continue;
-      const ChaseNode& n = graph.node(current);
-      if (n.is_extensional()) continue;
+      const Derivation& derivation = proof.derivation(current);
+      if (derivation.is_extensional()) continue;
       if (current != step) {
-        if (IsCriticalPredicate(*analysis_, n.fact.predicate)) {
+        if (IsCriticalPredicate(*analysis_,
+                                graph.node(current).fact.predicate)) {
           segment.anchors.push_back(current);
           continue;
         }
@@ -85,7 +86,7 @@ std::vector<ChaseMapper::Segment> ChaseMapper::SplitIntoSegments(
       }
       segment.steps.push_back(current);
       claimed.insert(current);
-      for (FactId parent : n.derivation.parents) stack.push_back(parent);
+      for (FactId parent : derivation.parents) stack.push_back(parent);
     }
     std::sort(segment.steps.begin(), segment.steps.end());
     std::sort(segment.anchors.begin(), segment.anchors.end());
@@ -98,14 +99,13 @@ const ExplanationTemplate* ChaseMapper::MatchSteps(
     const Proof& proof, const std::vector<FactId>& steps,
     ReasoningPath::Kind kind, const std::string& target_predicate,
     const std::string& anchor_predicate) const {
-  const ChaseGraph& graph = proof.graph();
   std::map<std::string, std::vector<FactId>> groups =
-      GroupByRule(graph, steps);
+      GroupByRule(proof, steps);
   std::vector<std::string> label_set;
   for (const auto& [label, ids] : groups) {
     label_set.push_back(label);
     if (ids.size() > 1 &&
-        !DuplicatesAreContributorParallel(graph, steps, ids)) {
+        !DuplicatesAreContributorParallel(proof, steps, ids)) {
       return nullptr;
     }
   }
@@ -113,7 +113,7 @@ const ExplanationTemplate* ChaseMapper::MatchSteps(
   // these demand the dashed (multi) variant.
   std::set<std::string> multi_rules;
   for (FactId id : steps) {
-    const Derivation& derivation = graph.node(id).derivation;
+    const Derivation& derivation = proof.derivation(id);
     if (derivation.contributions.size() > 1) {
       multi_rules.insert(derivation.rule_label);
     }
@@ -144,7 +144,7 @@ TemplateInstance ChaseMapper::AlignSteps(
     const ExplanationTemplate& tmpl, const Proof& proof,
     const std::vector<FactId>& steps) const {
   std::map<std::string, std::vector<FactId>> groups =
-      GroupByRule(proof.graph(), steps);
+      GroupByRule(proof, steps);
   TemplateInstance instance;
   instance.tmpl = &tmpl;
   instance.alignment.reserve(tmpl.segments.size());

@@ -193,15 +193,15 @@ Result<TemplateSegment> Verbalizer::VerbalizeRule(
   return segment;
 }
 
-Result<std::string> Verbalizer::VerbalizeStep(const ChaseGraph& graph,
-                                              FactId step) const {
+Result<std::string> Verbalizer::VerbalizeStep(
+    const ChaseGraph& graph, FactId step,
+    const Derivation& derivation) const {
   const ChaseNode& node = graph.node(step);
-  if (node.is_extensional()) {
+  if (derivation.is_extensional()) {
     return Status::InvalidArgument("cannot verbalize an extensional fact as "
                                    "a chase step: " +
                                    node.fact.ToString());
   }
-  const Derivation& derivation = node.derivation;
   const std::vector<Rule>& rules = program_->rules();
   if (static_cast<size_t>(derivation.rule_index) >= rules.size()) {
     return Status::Internal("rule not found: " + derivation.rule_label +
@@ -284,7 +284,8 @@ Result<std::string> Verbalizer::VerbalizeStep(const ChaseGraph& graph,
 Result<std::string> Verbalizer::VerbalizeProof(const Proof& proof) const {
   std::string text;
   for (FactId step : proof.steps()) {
-    Result<std::string> sentence = VerbalizeStep(proof.graph(), step);
+    Result<std::string> sentence =
+        VerbalizeStep(proof.graph(), step, proof.derivation(step));
     if (!sentence.ok()) return sentence.status();
     if (!text.empty()) text += " ";
     text += sentence.value();

@@ -31,10 +31,11 @@ class Verbalizer {
   Result<TemplateSegment> VerbalizeRule(const Rule& rule,
                                         bool multi_aggregation) const;
 
-  // Verbalizes one intensional chase step of a proof into a ground
-  // sentence.
-  Result<std::string> VerbalizeStep(const ChaseGraph& graph,
-                                    FactId step) const;
+  // Verbalizes one intensional chase step into a ground sentence: node
+  // `step` of `graph` as derived by `derivation` (a proof's
+  // Proof::derivation, or the node's primary derivation).
+  Result<std::string> VerbalizeStep(const ChaseGraph& graph, FactId step,
+                                    const Derivation& derivation) const;
 
   // The deterministic explanation of a proof: every chase step verbalized,
   // one sentence per step, in derivation order.

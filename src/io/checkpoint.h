@@ -165,7 +165,10 @@ class CheckpointStore {
 // v3: rule-execution records dropped their per-atom join-choice counts.
 // v4: the trigger-graph records are gone; the cursor's ChaseStats carries
 // the skipped/executed rule totals instead.
-inline constexpr uint32_t kCheckpointFormatVersion = 4;
+// v5: same layout, but the chase no longer records an aggregate rule's
+// re-emission as an alternative, so a v4 snapshot's alternatives are not
+// the ones a resumed run would keep.
+inline constexpr uint32_t kCheckpointFormatVersion = 5;
 
 }  // namespace templex
 

@@ -139,7 +139,10 @@ void WriteRuleAndParents(JsonWriter& json, const Derivation& derivation) {
   json.EndArray();
 }
 
-void WriteFactNode(JsonWriter& json, const ChaseGraph& graph, FactId id) {
+// Writes node `id` of `graph` as derived by `derivation` (its primary
+// derivation, or a proof's Proof::derivation).
+void WriteFactNode(JsonWriter& json, const ChaseGraph& graph, FactId id,
+                   const Derivation& derivation) {
   const ChaseNode& node = graph.node(id);
   json.BeginObject();
   json.Key("id").Int(id);
@@ -147,11 +150,11 @@ void WriteFactNode(JsonWriter& json, const ChaseGraph& graph, FactId id) {
   json.Key("args").BeginArray();
   for (const Value& arg : node.fact.args) json.TemplexValue(arg);
   json.EndArray();
-  if (!node.is_extensional()) {
-    WriteRuleAndParents(json, node.derivation);
-    if (!node.derivation.contributions.empty()) {
+  if (!derivation.is_extensional()) {
+    WriteRuleAndParents(json, derivation);
+    if (!derivation.contributions.empty()) {
       json.Key("contributions").BeginArray();
-      for (const AggregateContribution& c : node.derivation.contributions) {
+      for (const AggregateContribution& c : derivation.contributions) {
         json.BeginObject();
         json.Key("input").TemplexValue(c.input);
         json.Key("parents").BeginArray();
@@ -183,7 +186,7 @@ std::string ChaseGraphToJson(const ChaseGraph& graph) {
   json.BeginObject();
   json.Key("facts").BeginArray();
   for (FactId id = 0; id < graph.size(); ++id) {
-    WriteFactNode(json, graph, id);
+    WriteFactNode(json, graph, id, graph.node(id).derivation);
   }
   json.EndArray();
   json.EndObject();
@@ -202,12 +205,12 @@ std::string ProofToJson(const Proof& proof) {
   json.EndArray();
   json.Key("edb").BeginArray();
   for (FactId id : proof.edb_facts()) {
-    WriteFactNode(json, proof.graph(), id);
+    WriteFactNode(json, proof.graph(), id, proof.derivation(id));
   }
   json.EndArray();
   json.Key("steps").BeginArray();
   for (FactId id : proof.steps()) {
-    WriteFactNode(json, proof.graph(), id);
+    WriteFactNode(json, proof.graph(), id, proof.derivation(id));
   }
   json.EndArray();
   json.EndObject();

@@ -95,8 +95,8 @@ TEST(FlatIndexTest, EveryIdSurvivesSeveralDoublings) {
   EXPECT_EQ(keyed.Find(HashMix(1), kCount), -1);  // hash held, key absent
 }
 
-// ChaseGraph::WithAlternative and Extend copy graphs: a copy must answer
-// like the original and evolve independently of it.
+// WhatIf hands Extend a copy of its base graph: a copy must answer like the
+// original and evolve independently of it.
 TEST(FlatIndexTest, CopiesAndMovesKeepEveryId) {
   Keyed original;
   for (uint64_t key = 0; key < 100; ++key) original.Add(HashMix(key), key);

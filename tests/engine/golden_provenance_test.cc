@@ -1,12 +1,11 @@
 // Golden provenance digests: the chase's output — every fact with its id,
 // deriving rule, binding, parents, aggregate contributions and recorded
 // alternatives, plus the run statistics and every counter — hashed into
-// one 64-bit digest per configuration and pinned as a constant. The
-// constants were recorded from the engine before the apply side was
-// compiled onto slots, so any drift in provenance bytes, fact ids,
-// binding entry order, contribution order or alternative selection fails
-// here by name. Each run configuration executes at 1, 2 and 8 threads,
-// which must all produce the one pinned digest.
+// one 64-bit digest per configuration and pinned as a constant (kGolden
+// says when each was recorded), so any drift in provenance bytes, fact
+// ids, binding entry order, contribution order or alternative selection
+// fails here by name. Each run configuration executes at 1, 2 and 8
+// threads, which must all produce the one pinned digest.
 //
 // To re-pin after an intentional output change: run the test and copy the
 // "actual" digests from the failure messages — and say in the change
@@ -188,26 +187,36 @@ struct Golden {
   uint64_t digest;
 };
 
-// Recorded from the pre-rewrite engine (string-keyed apply path).
+// The cap-0 digests and Negation's were recorded from the pre-rewrite
+// engine (string-keyed apply path). The cap-1 and cap-4 digests of the
+// aggregate apps, kGoldenExtend and kGoldenControlGraph were re-pinned when
+// an aggregate re-emission over a superset of a recorded derivation's
+// parents stopped counting as an alternative. For CompanyControl and
+// GoldenPower no fact keeps a second alternative at these sizes, so caps 1
+// and 4 agree, and CloseLinks keeps none. StressTest's caps differ: σ7's
+// sum(e, [t]) keeps one contributor per channel t, so a re-emission after
+// a channel's Risk fact grows swaps a parent rather than adding one and is
+// kept. 33 Default facts keep an alternative; at cap 4, 14 of them keep
+// two or more (Default("Credit17") keeps four).
 constexpr Golden kGolden[] = {
     {"CompanyControl", 0, 0xa0b9ab923f4cd992ULL},
-    {"CompanyControl", 1, 0x3e9067067eafb83fULL},
-    {"CompanyControl", 4, 0xacc2ad58fe61029eULL},
+    {"CompanyControl", 1, 0x9d7760d3bace9c5cULL},
+    {"CompanyControl", 4, 0x9d7760d3bace9c5cULL},
     {"GoldenPower", 0, 0xc8fbe243dae880ebULL},
-    {"GoldenPower", 1, 0x1d7ebc998d982f80ULL},
-    {"GoldenPower", 4, 0xcbe569423ac9839bULL},
+    {"GoldenPower", 1, 0x24771181cfa036afULL},
+    {"GoldenPower", 4, 0x24771181cfa036afULL},
     {"StressTest", 0, 0xc0499a0594b6024bULL},
-    {"StressTest", 1, 0xdc49c430499fd6bcULL},
-    {"StressTest", 4, 0xa38ea81cc62c40fbULL},
+    {"StressTest", 1, 0xddf2c1ac2801fddULL},
+    {"StressTest", 4, 0xd7413bb0f26bc77eULL},
     {"CloseLinks", 0, 0x9e0c9dbf3a4249b4ULL},
-    {"CloseLinks", 1, 0x3f28880a17183ba4ULL},
-    {"CloseLinks", 4, 0x712510e217a3c613ULL},
+    {"CloseLinks", 1, 0x9e0c9dbf3a4249b4ULL},
+    {"CloseLinks", 4, 0x9e0c9dbf3a4249b4ULL},
     {"Negation", 4, 0xe21212c6f8267f5aULL},
 };
-constexpr uint64_t kGoldenExtend = 0x18d3c2061d24394ULL;
+constexpr uint64_t kGoldenExtend = 0x9a3e18f3bd3130c2ULL;
 // The resumed run's graph and stats equal the uninterrupted run's; this is
 // the counter-free digest of CompanyControl at max_alternatives 4.
-constexpr uint64_t kGoldenControlGraph = 0x4a3ebc78cc09b5b7ULL;
+constexpr uint64_t kGoldenControlGraph = 0x60e0407d24354eedULL;
 
 void AppInputs(const std::string& app, Program* program,
                std::vector<Fact>* edb) {

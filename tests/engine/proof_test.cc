@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <queue>
+
+#include "apps/generators.h"
 #include "apps/programs.h"
+#include "common/rng.h"
 #include "engine/chase.h"
 
 namespace templex {
@@ -107,6 +113,124 @@ TEST_F(ProofTest, ToStringListsStepsWithRules) {
   EXPECT_NE(text.find("[beta]"), std::string::npos);
   EXPECT_NE(text.find("[gamma]"), std::string::npos);
   EXPECT_NE(text.find("[edb]"), std::string::npos);
+}
+
+// The proof's node order by a reference min-id Kahn sort of the primary
+// ancestor closure: the order the proof promises (parents first, ties by
+// smallest id).
+std::vector<FactId> KahnOrder(const ChaseGraph& graph, FactId goal) {
+  std::map<FactId, int> pending;
+  std::map<FactId, std::vector<FactId>> children;
+  for (FactId id : graph.AncestorClosure(goal)) pending[id] = 0;
+  for (auto& [id, unemitted] : pending) {
+    for (FactId parent : graph.node(id).derivation.parents) {
+      ++unemitted;
+      children[parent].push_back(id);
+    }
+  }
+  std::priority_queue<FactId, std::vector<FactId>, std::greater<FactId>>
+      ready;
+  for (const auto& [id, unemitted] : pending) {
+    if (unemitted == 0) ready.push(id);
+  }
+  std::vector<FactId> order;
+  while (!ready.empty()) {
+    const FactId id = ready.top();
+    ready.pop();
+    order.push_back(id);
+    for (FactId child : children[id]) {
+      if (--pending[child] == 0) ready.push(child);
+    }
+  }
+  return order;
+}
+
+// The debt network with both channels merged into Debts, for the
+// single-channel program.
+std::vector<Fact> SimplifiedDebtEdb(const std::vector<Fact>& debts) {
+  std::vector<Fact> edb;
+  for (Fact fact : debts) {
+    if (fact.predicate == "LongTermDebts" ||
+        fact.predicate == "ShortTermDebts") {
+      fact.predicate = "Debts";
+    }
+    edb.push_back(std::move(fact));
+  }
+  return edb;
+}
+
+// Extract orders the ascending ancestor closure directly. On every goal
+// fact of every shipped app that order must be the min-id Kahn order, and
+// the goal-override path (here with each goal's own primary derivation, so
+// it orders the same closure) must agree.
+TEST(ProofOrderTest, PrimaryOrderIsKahnOrderOnEveryShippedApp) {
+  OwnershipNetworkOptions network;
+  network.companies = 60;
+  network.chains = 4;
+  network.stars = 4;
+  network.star_contributors = 4;
+  network.noise_edges = 140;
+  network.company_facts = true;
+  Rng network_rng(7);
+  const std::vector<Fact> ownership =
+      GenerateOwnershipNetwork(network, &network_rng);
+  std::vector<Fact> golden_power = ownership;
+  for (int i = 0; i < network.companies; i += 3) {
+    golden_power.push_back({"Strategic", {S(CompanyName(i).c_str())}});
+    golden_power.push_back({"Foreign", {S(CompanyName(i + 1).c_str())}});
+  }
+  for (const Fact& fact : ownership) {
+    if (fact.predicate == "Own") {
+      golden_power.push_back(
+          {"Acquisition", {fact.args[0], fact.args[1], S("d")}});
+    }
+  }
+  DebtNetworkOptions debt;
+  debt.institutions = 60;
+  debt.cascade_length = 12;
+  debt.extra_debts = 600;
+  debt.debts_per_channel = 3;
+  Rng debt_rng(7);
+  const std::vector<Fact> debts = GenerateDebtNetwork(debt, &debt_rng);
+  OwnershipDagOptions dag;
+  dag.layers = 5;
+  dag.width = 5;
+  dag.edge_prob = 0.5;
+  Rng dag_rng(7);
+  const struct {
+    const char* app;
+    Program program;
+    std::vector<Fact> edb;
+  } apps[] = {
+      {"SimplifiedStressTest", SimplifiedStressTestProgram(),
+       SimplifiedDebtEdb(debts)},
+      {"CompanyControl", CompanyControlProgram(), ownership},
+      {"StressTest", StressTestProgram(), debts},
+      {"GoldenPower", GoldenPowerProgram(), golden_power},
+      {"CloseLinks", CloseLinksProgram(), GenerateOwnershipDag(dag, &dag_rng)},
+  };
+  for (const auto& app : apps) {
+    auto chase = ChaseEngine().Run(app.program, app.edb);
+    ASSERT_TRUE(chase.ok()) << app.app << ": " << chase.status().ToString();
+    const ChaseGraph& graph = chase.value().graph;
+    const std::vector<FactId>& goals =
+        graph.FactsOf(app.program.goal_predicate());
+    EXPECT_FALSE(goals.empty()) << app.app;
+    for (FactId goal : goals) {
+      const Proof proof = Proof::Extract(graph, goal);
+      std::vector<FactId> edb;
+      std::vector<FactId> steps;
+      for (FactId id : KahnOrder(graph, goal)) {
+        (graph.node(id).is_extensional() ? edb : steps).push_back(id);
+      }
+      EXPECT_EQ(proof.steps(), steps) << app.app << " goal " << goal;
+      EXPECT_EQ(proof.edb_facts(), edb) << app.app << " goal " << goal;
+      const Proof overridden =
+          Proof::Extract(graph, goal, graph.node(goal).derivation);
+      EXPECT_EQ(overridden.steps(), steps) << app.app << " goal " << goal;
+      EXPECT_EQ(overridden.edb_facts(), edb) << app.app << " goal " << goal;
+    }
+  }
 }
 
 }  // namespace

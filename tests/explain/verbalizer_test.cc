@@ -172,7 +172,8 @@ class GroundVerbalizationTest : public ::testing::Test {
 TEST_F(GroundVerbalizationTest, StepSentence) {
   Verbalizer verbalizer(&program_, &glossary_);
   FactId id = chase_->Find({"Default", {S("A")}}).value();
-  auto text = verbalizer.VerbalizeStep(chase_->graph, id);
+  auto text = verbalizer.VerbalizeStep(chase_->graph, id,
+                                       chase_->graph.node(id).derivation);
   ASSERT_TRUE(text.ok());
   EXPECT_EQ(text.value(),
             "Since a shock amounting to 6M euros affects A, and A is a "
@@ -183,7 +184,8 @@ TEST_F(GroundVerbalizationTest, StepSentence) {
 TEST_F(GroundVerbalizationTest, AggregationStepListsContributors) {
   Verbalizer verbalizer(&program_, &glossary_);
   FactId id = chase_->Find({"Risk", {S("C"), I(11)}}).value();
-  auto text = verbalizer.VerbalizeStep(chase_->graph, id);
+  auto text = verbalizer.VerbalizeStep(chase_->graph, id,
+                                       chase_->graph.node(id).derivation);
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text.value().find("with 11M given by the sum of 2M and 9M"),
             std::string::npos);
@@ -192,14 +194,16 @@ TEST_F(GroundVerbalizationTest, AggregationStepListsContributors) {
 TEST_F(GroundVerbalizationTest, SingleContributorAggregationOmitsSum) {
   Verbalizer verbalizer(&program_, &glossary_);
   FactId id = chase_->Find({"Risk", {S("B"), I(7)}}).value();
-  auto text = verbalizer.VerbalizeStep(chase_->graph, id);
+  auto text = verbalizer.VerbalizeStep(chase_->graph, id,
+                                       chase_->graph.node(id).derivation);
   ASSERT_TRUE(text.ok());
   EXPECT_EQ(text.value().find("sum"), std::string::npos);
 }
 
 TEST_F(GroundVerbalizationTest, ExtensionalStepRejected) {
   Verbalizer verbalizer(&program_, &glossary_);
-  auto text = verbalizer.VerbalizeStep(chase_->graph, 0);
+  auto text = verbalizer.VerbalizeStep(chase_->graph, 0,
+                                       chase_->graph.node(0).derivation);
   EXPECT_FALSE(text.ok());
 }
 
@@ -208,10 +212,9 @@ TEST_F(GroundVerbalizationTest, ExtensionalStepRejected) {
 TEST_F(GroundVerbalizationTest, StepWithUnknownRuleIndexIsInternal) {
   Verbalizer verbalizer(&program_, &glossary_);
   FactId id = chase_->Find({"Default", {S("A")}}).value();
-  ChaseGraph graph = chase_->graph;
-  graph.mutable_node(id).derivation.rule_index =
-      static_cast<int>(program_.rules().size());
-  auto text = verbalizer.VerbalizeStep(graph, id);
+  Derivation derivation = chase_->graph.node(id).derivation;
+  derivation.rule_index = static_cast<int>(program_.rules().size());
+  auto text = verbalizer.VerbalizeStep(chase_->graph, id, derivation);
   ASSERT_FALSE(text.ok());
   EXPECT_EQ(text.status().code(), StatusCode::kInternal);
 }

@@ -253,7 +253,7 @@ TEST(CheckpointStoreTest, OtherFormatVersionIsRefused) {
   // and the load only fails later, on the missing symbol/footer records.
   const Status current = LoadHandBuilt(kCheckpointFormatVersion);
   EXPECT_EQ(current.code(), StatusCode::kDataLoss) << current.ToString();
-  for (uint32_t version : {2u, 3u, kCheckpointFormatVersion + 1}) {
+  for (uint32_t version : {2u, 3u, 4u, kCheckpointFormatVersion + 1}) {
     const Status status = LoadHandBuilt(version);
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
         << status.ToString();

@@ -32,7 +32,11 @@
 //              force materialize.
 // --explain    prints the textual explanation of a derived fact
 //              (repeatable);
-// --explain-all prints every recorded reasoning story for the fact;
+// --explain-all prints every recorded reasoning story for the fact: the
+//              primary derivation, then each kept alternative (a
+//              re-derivation telling a different story; an aggregate
+//              re-emitted with more contributors is not one), read
+//              through the proof's derivation override;
 // --anonymize  pseudonymizes the explanation output;
 // --report     writes a markdown business report covering every --explain
 //              plus the data-quality appendix;
