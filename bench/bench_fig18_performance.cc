@@ -55,60 +55,6 @@ void RunApp(const char* title, const Explainer& explainer,
   std::printf("\n");
 }
 
-// Chase scaling with the parallel match phase: one sizeable ownership
-// network chased at 1/2/4/8 threads, reporting wall-clock per thread count
-// and speedup vs the sequential run. Results are byte-identical across
-// thread counts (asserted via stats), so this isolates pure scheduling
-// gains. On a single-core host the curve is flat — run on multi-core
-// hardware for the real speedup figures.
-void RunChaseScaling(Rng* rng) {
-  std::printf("---- Chase scaling (match-phase threads) ----\n");
-  OwnershipNetworkOptions options;
-  options.companies = 220;
-  options.chains = 16;
-  options.chain_length = 6;
-  options.stars = 10;
-  options.noise_edges = 500;
-  const std::vector<Fact> edb = GenerateOwnershipNetwork(options, rng);
-  const Program program = CompanyControlProgram();
-  constexpr int kRepeats = 3;
-  double sequential_seconds = 0.0;
-  int64_t sequential_derived = -1;
-  std::printf("%-8s | %-12s | %s\n", "threads", "seconds", "speedup vs 1");
-  for (int threads : {1, 2, 4, 8}) {
-    ChaseConfig config;
-    config.num_threads = threads;
-    const ChaseEngine engine(config);
-    double best_seconds = 0.0;
-    int64_t derived = -1;
-    for (int repeat = 0; repeat < kRepeats; ++repeat) {
-      double seconds = 0.0;
-      ScopedTimer timer(&seconds);
-      const Result<ChaseResult> chase = engine.Run(program, edb);
-      timer.Stop();
-      if (!chase.ok()) {
-        std::printf("chase failed at %d threads\n", threads);
-        return;
-      }
-      derived = chase.value().stats.derived_facts;
-      if (repeat == 0 || seconds < best_seconds) best_seconds = seconds;
-    }
-    if (threads == 1) {
-      sequential_seconds = best_seconds;
-      sequential_derived = derived;
-    } else if (derived != sequential_derived) {
-      std::printf("DETERMINISM VIOLATION at %d threads: %lld vs %lld\n",
-                  threads, static_cast<long long>(derived),
-                  static_cast<long long>(sequential_derived));
-      return;
-    }
-    std::printf("%-8d | %-12.3f | %.2fx\n", threads, best_seconds,
-                best_seconds > 0.0 ? sequential_seconds / best_seconds : 0.0);
-  }
-  std::printf("(derived facts per run: %lld, identical at every count)\n\n",
-              static_cast<long long>(sequential_derived));
-}
-
 }  // namespace
 
 int main() {
@@ -140,8 +86,6 @@ int main() {
   RunApp("Stress test (Figure 18b)", *stress.value(), stress_lengths,
          [](int steps, Rng* r) { return SampleStressCascade(steps, 2, r); },
          &rng, &metrics);
-
-  RunChaseScaling(&rng);
 
   std::ofstream sidecar(kMetricsSidecar);
   if (sidecar) {

@@ -10,7 +10,6 @@
 #include "apps/generators.h"
 #include "apps/glossaries.h"
 #include "apps/programs.h"
-#include "common/timer.h"
 #include "datalog/parser.h"
 #include "engine/chase.h"
 #include "engine/fact_store.h"
@@ -66,26 +65,6 @@ BENCHMARK(BM_ChaseCompanyControl)
     ->Arg(100)
     ->Arg(200)
     ->Arg(800);
-
-// The same chase on a pool: the match phase fans out, the apply phase
-// (aggregation and head creation, most of this program) stays on the
-// driving thread. Real time, since the work spans threads.
-void BM_ChaseCompanyControlThreads(benchmark::State& state) {
-  Program program = CompanyControlProgram();
-  std::vector<Fact> edb = OwnershipEdb(static_cast<int>(state.range(0)));
-  ChaseConfig config;
-  config.num_threads = static_cast<int>(state.range(1));
-  ChaseEngine engine(config);
-  for (auto _ : state) {
-    auto result = engine.Run(program, edb);
-    if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
-    benchmark::DoNotOptimize(result.value().graph.size());
-  }
-}
-BENCHMARK(BM_ChaseCompanyControlThreads)
-    ->Args({100, 4})
-    ->ArgNames({"companies", "threads"})
-    ->UseRealTime();
 
 // The apply layer in isolation: a σ3-shaped monotonic sum whose body join
 // is trivial (one Share per Link), over groups of k contributors — about
@@ -360,77 +339,6 @@ BENCHMARK(BM_IncrementalExtendVsRechase)
     ->Arg(1)
     ->Arg(0)
     ->ArgNames({"incremental"});
-
-// A multi-rule recursive workload with two base relations, sized so every
-// round carries matching work for all four rules — the shape the parallel
-// match phase is built for.
-Program MultiRuleReachProgram() {
-  return ParseProgram(R"(
-r1: Road(x, y) -> Reach(x, y).
-r2: Rail(x, y) -> Reach(x, y).
-r3: Reach(x, z), Road(z, y) -> Reach(x, y).
-r4: Reach(x, z), Rail(z, y) -> Reach(x, y).
-)")
-      .value();
-}
-
-std::vector<Fact> MultiRuleReachEdb(int n) {
-  std::vector<Fact> edb;
-  for (int i = 0; i < n; ++i) {
-    edb.push_back(Fact{"Road", {Value::Int(i), Value::Int((i + 1) % n)}});
-    edb.push_back(Fact{"Rail", {Value::Int(i), Value::Int((i + 7) % n)}});
-  }
-  return edb;
-}
-
-void BM_ParallelChaseMultiRule(benchmark::State& state) {
-  // Wall-clock scaling of the parallel match phase, reported as
-  // speedup_vs_1t against a sequential run of the same workload measured
-  // in setup. On a single-core host the speedup hovers around (or below)
-  // 1.0 — run on multi-core hardware for the fig-18-style scaling curve.
-  Program program = MultiRuleReachProgram();
-  const std::vector<Fact> edb = MultiRuleReachEdb(48);
-  double baseline_seconds = 0.0;
-  {
-    ChaseEngine sequential;
-    ScopedTimer timer(&baseline_seconds);
-    auto warm = sequential.Run(program, edb);
-    if (!warm.ok()) {
-      state.SkipWithError("sequential baseline failed");
-      return;
-    }
-  }
-  ChaseConfig config;
-  config.num_threads = static_cast<int>(state.range(0));
-  ChaseEngine engine(config);
-  double total_seconds = 0.0;
-  int64_t derived = 0;
-  for (auto _ : state) {
-    double seconds = 0.0;
-    {
-      ScopedTimer timer(&seconds);
-      auto result = engine.Run(program, edb);
-      if (!result.ok()) {
-        state.SkipWithError(result.status().ToString().c_str());
-        break;
-      }
-      derived = result.value().stats.derived_facts;
-    }
-    total_seconds += seconds;
-  }
-  state.counters["derived"] = static_cast<double>(derived);
-  if (state.iterations() > 0 && total_seconds > 0.0) {
-    state.counters["speedup_vs_1t"] =
-        baseline_seconds / (total_seconds / state.iterations());
-  }
-}
-BENCHMARK(BM_ParallelChaseMultiRule)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->ArgNames({"threads"})
-    ->UseRealTime();
 
 void BM_MatcherEnumeration(benchmark::State& state) {
   // The match enumerator alone (no head application): a 3-atom join over a

@@ -64,8 +64,8 @@ class FaultInjectingAllocator {
 //
 // The budget does not hook allocation. Owners account their own content-
 // based footprint (string lengths + element sizes — never container
-// capacities, so the figure is identical across thread counts and across
-// checkpoint resume) and reconcile it at natural boundaries:
+// capacities, so the figure is identical across checkpoint resume) and
+// reconcile it at natural boundaries:
 //
 //   MemoryBudget::Observation obs = budget->Observe(total_bytes);
 //

@@ -4,18 +4,11 @@
 
 namespace templex {
 
-int ThreadPool::HardwareConcurrency() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
-}
-
 ThreadPool::ThreadPool(int num_threads) {
   const int spawned = std::max(0, num_threads - 1);
   workers_.reserve(spawned);
   for (int i = 0; i < spawned; ++i) {
-    // Participant 0 is the caller of ParallelFor; workers start on the
-    // following slices.
-    workers_.emplace_back([this, i] { WorkerLoop(static_cast<size_t>(i) + 1); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -57,111 +50,19 @@ size_t ThreadPool::QueuedTasks() const {
   return submitted_.size();
 }
 
-void ThreadPool::ParallelFor(size_t count,
-                             const std::function<void(size_t)>& body) {
-  if (count == 0) return;
-  if (workers_.empty() || count == 1) {
-    for (size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  const size_t participants =
-      std::min(workers_.size() + 1, count);  // no empty starting slices
-  auto batch = std::make_shared<Batch>();
-  batch->body = &body;
-  batch->remaining.store(count, std::memory_order_relaxed);
-  batch->queues.reserve(participants);
-  for (size_t p = 0; p < participants; ++p) {
-    batch->queues.push_back(std::make_unique<TaskQueue>());
-    const size_t begin = count * p / participants;
-    const size_t end = count * (p + 1) / participants;
-    for (size_t i = begin; i < end; ++i) {
-      batch->queues[p]->items.push_back(i);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    current_ = batch;
-    ++batch_seq_;
-  }
-  work_cv_.notify_all();
-  WorkOn(batch.get(), 0);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] {
-      return batch->remaining.load(std::memory_order_acquire) == 0;
-    });
-    if (current_ == batch) current_ = nullptr;
-  }
-}
-
-void ThreadPool::WorkerLoop(size_t preferred_queue) {
-  uint64_t drained_seq = 0;
+void ThreadPool::WorkerLoop() {
   while (true) {
-    std::shared_ptr<Batch> batch;
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return stop_ || !submitted_.empty() ||
-               (current_ != nullptr && batch_seq_ != drained_seq);
-      });
+      work_cv_.wait(lock, [&] { return stop_ || !submitted_.empty(); });
       // Queued tasks win over stop: the shutdown contract is drain, not
       // drop, so a stopping worker keeps pulling until the queue is dry.
-      if (!submitted_.empty()) {
-        task = std::move(submitted_.front());
-        submitted_.pop_front();
-      } else if (current_ != nullptr && batch_seq_ != drained_seq) {
-        batch = current_;
-        drained_seq = batch_seq_;
-      } else {
-        return;  // stop_, nothing pending
-      }
+      if (submitted_.empty()) return;  // stop_, nothing pending
+      task = std::move(submitted_.front());
+      submitted_.pop_front();
     }
-    if (task) {
-      task();
-    } else {
-      WorkOn(batch.get(), preferred_queue);
-    }
-  }
-}
-
-void ThreadPool::WorkOn(Batch* batch, size_t self) {
-  const size_t queues = batch->queues.size();
-  while (true) {
-    size_t index = 0;
-    bool found = false;
-    {
-      // Own queue: take from the back (the slice is contiguous, so this
-      // walks it in reverse — order is irrelevant to callers).
-      TaskQueue& own = *batch->queues[self % queues];
-      std::lock_guard<std::mutex> lock(own.mu);
-      if (!own.items.empty()) {
-        index = own.items.back();
-        own.items.pop_back();
-        found = true;
-      }
-    }
-    if (!found) {
-      // Steal from the front of the first non-empty victim.
-      for (size_t v = 1; v < queues && !found; ++v) {
-        TaskQueue& victim = *batch->queues[(self + v) % queues];
-        std::lock_guard<std::mutex> lock(victim.mu);
-        if (!victim.items.empty()) {
-          index = victim.items.front();
-          victim.items.pop_front();
-          found = true;
-        }
-      }
-    }
-    if (!found) return;
-    (*batch->body)(index);
-    if (batch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last task: wake the caller. Locking mu_ pairs with the caller's
-      // predicate check so the notify cannot slip between its check and
-      // its wait.
-      { std::lock_guard<std::mutex> lock(mu_); }
-      done_cv_.notify_all();
-    }
+    task();
   }
 }
 

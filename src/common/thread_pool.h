@@ -1,68 +1,36 @@
 #ifndef TEMPLEX_COMMON_THREAD_POOL_H_
 #define TEMPLEX_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace templex {
 
-// A small work-stealing thread pool sized once and reused across many
-// fan-outs (the chase engine keeps one for the lifetime of the engine and
-// fans every round's match tasks through it, so threads are spawned once
-// per engine, not once per round).
-//
-// The unit of work is an index: ParallelFor(count, body) runs body(i) for
-// every i in [0, count) and returns when all of them finished. Indices are
-// dealt to per-participant deques in contiguous runs (participant p starts
-// on the p-th slice), each participant pops its own deque from the back,
-// and a participant whose deque ran dry steals from the front of another's
-// — long tasks at the end of a slice get picked up by whoever is idle.
-// The calling thread participates as participant 0, so ThreadPool(n) gives
-// n-way parallelism with n - 1 spawned workers.
-//
-// ParallelFor gives no ordering or thread-affinity guarantees; callers that
-// need deterministic output write into preallocated per-index slots and
-// merge in index order afterwards (see ChaseRun::RunRoundParallel). `body`
-// must not throw and must not call ParallelFor on the same pool.
-//
-// Submit() is the second unit of work: a fire-and-forget task queued FIFO
-// and run by the spawned workers (the service's request handlers ride on
-// it). Shutdown-with-pending-tasks semantics are part of the contract and
-// pinned by tests/common/thread_pool_test.cc: every task submitted before
-// the destructor returns runs EXACTLY once — the destructor drains the
-// queue (workers keep pulling queued tasks after stop is signalled, and a
-// pool whose workers already exited, including the zero-worker pool, runs
-// the leftovers inline on the destructing thread) — so destruction never
+// A fixed set of worker threads pulling fire-and-forget tasks from one FIFO
+// queue (the service's request handlers ride on it). Shutdown-with-pending-
+// tasks semantics are part of the contract and pinned by
+// tests/common/thread_pool_test.cc: every task submitted before the
+// destructor returns runs EXACTLY once — the destructor drains the queue
+// (workers keep pulling queued tasks after stop is signalled, and a pool
+// whose workers already exited, including the zero-worker pool, runs the
+// leftovers inline on the destructing thread) — so destruction never
 // deadlocks and never drops a task silently. Tasks must complete for
 // destruction to return; long-running tasks need their own cancellation
 // signal (the service cancels in-flight requests before tearing the pool
 // down). Tasks may Submit() further tasks, including during the drain.
 class ThreadPool {
  public:
-  // Spawns `num_threads - 1` workers (the caller is the remaining
-  // participant). num_threads <= 1 spawns nothing and ParallelFor runs
-  // inline.
+  // Spawns `num_threads - 1` workers; num_threads <= 1 spawns nothing.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Total participants, including the calling thread.
-  int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
-
-  // std::thread::hardware_concurrency with a floor of 1.
-  static int HardwareConcurrency();
-
-  // Runs body(0) .. body(count - 1), blocking until every index completed.
-  void ParallelFor(size_t count, const std::function<void(size_t)>& body);
 
   // Enqueues one task (FIFO) for the spawned workers and returns
   // immediately. `task` must not throw. With no spawned workers the task
@@ -75,36 +43,12 @@ class ThreadPool {
   size_t QueuedTasks() const;
 
  private:
-  // One participant's task deque. A mutex per deque keeps stealing simple;
-  // tasks are coarse (a whole rule-partition match), so the lock is cold.
-  struct TaskQueue {
-    std::mutex mu;
-    std::deque<size_t> items;
-  };
-
-  // One ParallelFor invocation. Workers hold the batch via shared_ptr so a
-  // batch outlives ParallelFor returning (a worker may still be between
-  // "found no task" and "went back to sleep").
-  struct Batch {
-    const std::function<void(size_t)>* body = nullptr;
-    std::vector<std::unique_ptr<TaskQueue>> queues;
-    std::atomic<size_t> remaining{0};
-  };
-
-  void WorkerLoop(size_t preferred_queue);
-  // Runs tasks from `batch` (own queue first, then stealing) until no task
-  // remains findable. `self` picks the queue this participant starts on
-  // (taken modulo the batch's queue count).
-  void WorkOn(Batch* batch, size_t self);
+  void WorkerLoop();
 
   std::vector<std::thread> workers_;
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  // workers: a new batch or task arrived
-  std::condition_variable done_cv_;  // caller: batch.remaining hit zero
+  std::condition_variable work_cv_;  // workers: a task arrived or stop
   std::deque<std::function<void()>> submitted_;  // FIFO Submit() queue
-  std::shared_ptr<Batch> current_;   // null when idle
-  uint64_t batch_seq_ = 0;           // bumped per batch, so workers never
-                                     // re-enter one they already drained
   bool stop_ = false;
 };
 

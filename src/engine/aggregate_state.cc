@@ -159,14 +159,11 @@ void AggregateState::Contributions(
 void AggregateState::UnionParents(GroupRef group,
                                   std::vector<FactId>* out) const {
   out->clear();
-  for (const Contributor& c :
-       groups_[static_cast<size_t>(group.id_)].contributors) {
-    for (FactId p : c.parents) {
-      if (std::find(out->begin(), out->end(), p) == out->end()) {
-        out->push_back(p);
-      }
+  ForEachParent(group, [out](FactId p) {
+    if (std::find(out->begin(), out->end(), p) == out->end()) {
+      out->push_back(p);
     }
-  }
+  });
 }
 
 void AggregateState::ForEach(

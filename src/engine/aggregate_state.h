@@ -35,7 +35,8 @@ namespace templex {
 // A contribution that changes its group returns only the new aggregate
 // value. The contribution list and parent union that provenance needs are
 // materialized on request (Contributions / UnionParents), so the chase
-// copies them only for the head facts and alternatives the graph keeps.
+// copies them only for the head facts and alternatives the graph keeps;
+// ForEachParent reads the parents in place.
 class AggregateState {
  private:
   struct Group;
@@ -87,6 +88,17 @@ class AggregateState {
   // The union of the group's contributor parents, deduplicated, in
   // first-appearance order over the contributions. Overwrites *out.
   void UnionParents(GroupRef group, std::vector<FactId>* out) const;
+
+  // Calls fn(parent) for every contributor parent of the group, in
+  // contribution order, repeats included: the union's members without the
+  // cost of deduplicating them.
+  template <typename Fn>
+  void ForEachParent(GroupRef group, Fn&& fn) const {
+    for (const Contributor& c :
+         groups_[static_cast<size_t>(group.id_)].contributors) {
+      for (FactId parent : c.parents) fn(parent);
+    }
+  }
 
   int num_rules() const { return num_rules_; }
 

@@ -9,7 +9,6 @@
 #include "common/fs.h"
 #include "common/hash.h"
 #include "common/memory.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/watchdog.h"
 #include "engine/aggregate_state.h"
@@ -35,9 +34,8 @@ std::string RuleMetricName(const Rule& rule, int index) {
 // the deadline — a clock read — only every 256 calls, and the stall
 // watchdog (when one is attached) is heartbeated every 64 — a stuck rule
 // stops petting, a merely slow one keeps the watchdog quiet. Each
-// enumeration scope (one sequential rule evaluation, one parallel match
-// task, one constraint sweep) owns its probe, so parallel tasks poll
-// independently and abort cooperatively wherever they are in their window.
+// enumeration scope (one rule evaluation, one constraint sweep) owns its
+// probe.
 class InterruptProbe {
  public:
   InterruptProbe(const Deadline& deadline, const CancellationToken& cancel,
@@ -102,10 +100,9 @@ void RecordFailure(const ChaseConfig& config, const Status& status) {
 
 class ChaseRun {
  public:
-  ChaseRun(const Program& program, const ChaseConfig& config, ThreadPool* pool)
+  ChaseRun(const Program& program, const ChaseConfig& config)
       : program_(program),
         config_(config),
-        pool_(pool),
         metrics_(config.metrics),
         tracer_(config.tracer),
         event_log_(config.event_log),
@@ -129,9 +126,7 @@ class ChaseRun {
       event_log_->Log(
           obs::EventLevel::kInfo, "chase", "run.start",
           {{"edb_facts", std::to_string(edb.size())},
-           {"rules", std::to_string(program_.rules().size())},
-           {"threads",
-            std::to_string(pool_ != nullptr ? pool_->num_threads() : 1)}});
+           {"rules", std::to_string(program_.rules().size())}});
     }
     TEMPLEX_RETURN_IF_ERROR(
         CheckInterruption(config_.deadline, config_.cancel, "chase start"));
@@ -382,16 +377,12 @@ class ChaseRun {
   // SymbolTable — in Extend the base graph, table included, is moved in
   // after Prepare() — and before any rule enumeration.
   void CompilePlans() {
-    size_t max_slots = 0;
     for (RulePlan& plan : plans_) {
       CompileMatchPlan(&plan, &result_.graph.symbols());
-      max_slots = std::max(max_slots,
-                           static_cast<size_t>(plan.num_binding_slots()));
     }
     for (RulePlan& plan : plans_) {
       ResolveNegatedPredicates(&plan, result_.graph.symbols());
     }
-    apply_slots_.resize(max_slots);
   }
 
   Result<ChaseResult> Finalize() {
@@ -411,8 +402,8 @@ class ChaseRun {
           ->Increment(result_.stats.derived_facts);
       metrics_->counter("chase.rounds")->Increment(result_.stats.rounds);
       metrics_->counter("chase.matches")->Increment(result_.stats.matches);
-      // Index shape — deterministic across thread counts (the saturated
-      // graph is), so these participate in the determinism tests.
+      // Index shape — deterministic (the saturated graph is), so these
+      // participate in the determinism tests.
       metrics_->counter("chase.index.predicates")
           ->Increment(static_cast<int64_t>(result_.graph.symbols().size()));
       metrics_->counter("chase.index.position_keys")
@@ -426,7 +417,7 @@ class ChaseRun {
       metrics_->counter("chase.join.executed_rules")
           ->Increment(result_.stats.executed_rules);
       // Per-rule attribution: the deterministic column goes into counters
-      // (so it participates in the cross-thread-count determinism tests);
+      // (so it participates in the determinism tests);
       // the wall-clock columns and the stratum assignment are gauges. The
       // map iterates in (rule index, stratum) order, so the result vector
       // is deterministic too.
@@ -473,10 +464,8 @@ class ChaseRun {
 
   // Everything the round decided about one rule before any matching ran:
   // the passes worth running (pivot windows holding at least one row) and
-  // how many passes were dropped. Computed once per (rule, round) on the
-  // driving thread, then shared by the sequential loop or every parallel
-  // task slice — that is what makes the chase.join.* counters
-  // thread-invariant. No passes means the rule execution is skipped.
+  // how many passes were dropped. No passes means the rule execution is
+  // skipped.
   struct RuleExecutionPlan {
     std::vector<RulePass> passes;
     int passes_skipped = 0;
@@ -497,8 +486,8 @@ class ChaseRun {
   // pivot-predicate rows cannot enumerate a single candidate and is
   // dropped before any matching machinery spins up; a rule all of whose
   // passes drop is skipped outright.
-  // Fill-style so the sequential round loop can reuse one plan's vectors
-  // across every (rule, round) — the per-round allocation churn showed up
+  // Fill-style so the round loop can reuse one plan's vectors across
+  // every (rule, round) — the per-round allocation churn showed up
   // on small many-round workloads.
   void PlanRuleExecution(const RulePlan& plan, FactId delta_begin,
                          FactId limit, RuleExecutionPlan* out) {
@@ -534,9 +523,8 @@ class ChaseRun {
     }
   }
 
-  // Counts the round's decision about one rule and narrates a skip. Runs
-  // on the driving thread in stratum rule order, both sequentially and in
-  // the parallel round.
+  // Counts the round's decision about one rule and narrates a skip, in
+  // stratum rule order.
   void RecordExecution(const RulePlan& plan, const RuleExecutionPlan& eplan) {
     if (!eplan.passes.empty()) {
       ++result_.stats.executed_rules;
@@ -605,17 +593,12 @@ class ChaseRun {
           result_.stats.rounds == config_.chaos_stall_round) {
         TEMPLEX_RETURN_IF_ERROR(ChaosStall());
       }
-      if (pool_ != nullptr) {
-        TEMPLEX_RETURN_IF_ERROR(RunRoundParallel(
-            rule_indexes, first_pass ? -1 : delta_begin, limit));
-      } else {
-        for (int index : rule_indexes) {
-          PlanRuleExecution(plans_[index], first_pass ? -1 : delta_begin,
-                            limit, &eplan_scratch_);
-          RecordExecution(plans_[index], eplan_scratch_);
-          if (eplan_scratch_.passes.empty()) continue;
-          TEMPLEX_RETURN_IF_ERROR(EvaluateRule(plans_[index], eplan_scratch_));
-        }
+      for (int index : rule_indexes) {
+        PlanRuleExecution(plans_[index], first_pass ? -1 : delta_begin, limit,
+                          &eplan_scratch_);
+        RecordExecution(plans_[index], eplan_scratch_);
+        if (eplan_scratch_.passes.empty()) continue;
+        TEMPLEX_RETURN_IF_ERROR(EvaluateRule(plans_[index], eplan_scratch_));
       }
       first_pass = false;
       delta_begin = limit;
@@ -626,9 +609,9 @@ class ChaseRun {
       TEMPLEX_RETURN_IF_ERROR(CommitRound(stratum_index, delta_begin));
       // Reconcile the footprint once per completed round, after the
       // commit: a hard verdict then save-and-stops on exactly the state
-      // the cursor names. One Observe per round on the driving thread
-      // keeps the fault injector's observation index — and so a seeded
-      // chaos sweep — aligned with round numbers at every thread count.
+      // the cursor names. One Observe per round keeps the fault
+      // injector's observation index — and so a seeded chaos sweep —
+      // aligned with round numbers.
       TEMPLEX_RETURN_IF_ERROR(GovernMemory(stratum_index, delta_begin));
     }
     return Status::OK();
@@ -681,9 +664,8 @@ class ChaseRun {
   // The run's accounted footprint: chase graph + provenance, position
   // index, and aggregate state. Every term is a pure function of derived
   // content (string lengths + element sizes, never container capacities),
-  // so the figure is byte-identical across thread counts and across
-  // checkpoint resume — which keeps a budget sweep deterministic at 1/2/8
-  // threads.
+  // so the figure is byte-identical across checkpoint resume — which keeps
+  // a budget sweep deterministic.
   int64_t FootprintBytes() const {
     return result_.graph.approx_bytes() + store_.approx_bytes() +
            aggregates_.approx_bytes();
@@ -708,7 +690,7 @@ class ChaseRun {
 
   // Mirrors the run's position into the attached ChaseProgress (if any) so
   // a host process can report warm-up progress without touching the
-  // mid-chase graph. Driving thread only; see chase.h.
+  // mid-chase graph. See chase.h.
   void PublishProgress() {
     if (config_.progress == nullptr) return;
     config_.progress->rounds.store(result_.stats.rounds,
@@ -784,8 +766,7 @@ class ChaseRun {
     // The config hash ties a checkpoint to everything that shapes the
     // derivation sequence: format version, program text, the EDB facts in
     // order, and the semantics-affecting config knobs. Deliberately outside
-    // the hash: num_threads (successful runs are byte-identical across
-    // thread counts, so resuming at a different count is a feature),
+    // the hash: num_threads (ignored: the chase runs on one thread),
     // deadline/cancel, the max_rounds/max_facts guard rails (raising a
     // limit to finish an interrupted run must not orphan its checkpoint),
     // and the resource-governance knobs — budget, watchdog, chaos_stall_* —
@@ -1009,9 +990,7 @@ class ChaseRun {
   // remainder of the whole-evaluation time.
   Status EvaluateRule(const RulePlan& plan, const RuleExecutionPlan& eplan) {
     if (watchdog_ != nullptr) {
-      // Sequential path only: name the rule the stall report would blame.
-      // (The parallel round evaluates rules concurrently, so its report
-      // names the round via the boundary SetContext instead.)
+      // Name the rule the stall report would blame.
       watchdog_->SetContext(RuleMetricName(*plan.rule, plan.index),
                             cur_stratum_, cur_round_);
     }
@@ -1063,9 +1042,7 @@ class ChaseRun {
       return ProcessMatch(plan, match);
     };
     // delta_facts counts the pivot-predicate rows each executed pass
-    // actually scans. The parallel round slices passes on row boundaries
-    // and sums per-task row counts, so the totals are identical at every
-    // thread count; skipped passes contribute zero on both paths.
+    // actually scans; skipped passes contribute zero.
     for (const RulePass& pass : eplan.passes) {
       if (profile != nullptr) profile->delta_facts += pass.pivot_rows;
       MatchWindow window;
@@ -1076,202 +1053,6 @@ class ChaseRun {
       window.pre_pivot_cap = pass.cap;
       TEMPLEX_RETURN_IF_ERROR(
           EnumerateMatches(plan, store_, result_.graph, window, callback));
-    }
-    return Status::OK();
-  }
-
-  // One unit of parallel match work: enumerate a rule over one id window
-  // and buffer the surviving head instantiations. Tasks share no mutable
-  // state; their outputs are folded in by the driving thread afterwards.
-  // Heads are buffered flat: head k owns values [k * num_eval_slots,
-  // (k + 1) * num_eval_slots) — its body and assignment slots — and facts
-  // [k * body.size(), (k + 1) * body.size()).
-  struct MatchTask {
-    const RulePlan* plan = nullptr;
-    MatchWindow window;
-    int64_t pivot_rows = 0;  // pivot rows in this slice (delta_facts share)
-    // Outputs, owned by this task until the merge:
-    Status status;
-    int64_t matches = 0;  // homomorphisms enumerated (pre-filter)
-    double seconds = 0.0;  // wall time on the worker (metrics runs only)
-    int64_t heads = 0;
-    std::vector<Value> values;
-    std::vector<FactId> facts;
-  };
-
-  // Splits one rule execution's passes into tasks, appended in canonical
-  // order: pass (pivot position) ascending, then id-window ascending. A
-  // pass pivoting on body atom 0 is sliced on pivot-predicate ROW
-  // boundaries — every slice carries about the same number of pivot rows
-  // even when the delta's ids cluster in one predicate — and the slices
-  // concatenate back to the unpartitioned enumeration, because the pivot
-  // is the outermost loop. A pass pivoting on a later atom runs as one
-  // task: the atoms before its pivot are the outer loops, so pivot windows
-  // would interleave differently from the sequential order. Replaying
-  // task outputs in this order therefore reproduces the sequential match
-  // order exactly, and per-task pivot_rows sums to the pass's row count at
-  // any slice count.
-  void PlanRuleTasks(const RulePlan& plan, const RuleExecutionPlan& eplan,
-                     std::vector<MatchTask>* tasks) const {
-    // A few tasks per thread so work stealing can even out skewed windows.
-    const int64_t slices = static_cast<int64_t>(pool_->num_threads()) * 2;
-    for (const RulePass& pass : eplan.passes) {
-      if (pass.pivot < 0) {
-        // No atom to pivot on; a single unwindowed task enumerates the one
-        // empty-body match.
-        MatchTask task;
-        task.plan = &plan;
-        task.window.limit = eplan.limit;
-        tasks->push_back(std::move(task));
-        continue;
-      }
-      const std::vector<FactId>& ids = result_.graph.FactsOf(
-          plan.body[static_cast<size_t>(pass.pivot)].predicate);
-      const size_t first = static_cast<size_t>(
-          std::lower_bound(ids.begin(), ids.end(), pass.begin) - ids.begin());
-      const int64_t rows = pass.pivot_rows;
-      const int64_t n = pass.pivot == 0 ? std::min(slices, rows)
-                                        : std::min<int64_t>(1, rows);
-      for (int64_t s = 0; s < n; ++s) {
-        const int64_t row_lo = rows * s / n;
-        const int64_t row_hi = rows * (s + 1) / n;
-        MatchTask task;
-        task.plan = &plan;
-        task.window.limit = eplan.limit;
-        task.window.pivot_atom = pass.pivot;
-        // Window bounds sit on the slice's first row id (outer bounds keep
-        // the pass's own), so slices stay disjoint and exhaustive.
-        task.window.pivot_begin =
-            s == 0 ? pass.begin : ids[first + static_cast<size_t>(row_lo)];
-        task.window.pivot_end =
-            s == n - 1 ? pass.end : ids[first + static_cast<size_t>(row_hi)];
-        task.window.pre_pivot_cap = pass.cap;
-        task.pivot_rows = row_hi - row_lo;
-        tasks->push_back(std::move(task));
-      }
-    }
-  }
-
-  // Runs on a pool thread: everything reached from here is read-only over
-  // the round-frozen store/graph (cur_stratum_/cur_round_ included — the
-  // driving thread only advances them between rounds); outputs go only
-  // into *task.
-  void RunMatchTask(MatchTask* task) const {
-    if (event_log_ != nullptr) {
-      event_log_->Log(
-          obs::EventLevel::kDebug, "chase", "match.task",
-          {{"rule", RuleMetricName(*task->plan->rule, task->plan->index)},
-           {"stratum", std::to_string(cur_stratum_)},
-           {"round", std::to_string(cur_round_)},
-           {"pivot_begin", std::to_string(task->window.pivot_begin)},
-           {"pivot_end", std::to_string(task->window.pivot_end)}});
-    }
-    std::optional<ScopedTimer> timer;
-    if (metrics_ != nullptr) timer.emplace(&task->seconds);
-    InterruptProbe probe(config_.deadline, config_.cancel, watchdog_,
-                         "match task");
-    task->status = EnumerateMatches(
-        *task->plan, store_, result_.graph, task->window,
-        [this, task, &probe](const BodyMatch& match) -> Status {
-          TEMPLEX_RETURN_IF_ERROR(probe.Check());
-          ++task->matches;
-          bool pass = false;
-          TEMPLEX_RETURN_IF_ERROR(EvalMatch(*task->plan, match.slots, &pass));
-          if (pass) {
-            task->values.insert(task->values.end(), match.slots,
-                                match.slots + task->plan->num_eval_slots);
-            task->facts.insert(task->facts.end(), match.facts.begin(),
-                               match.facts.end());
-            ++task->heads;
-          }
-          return Status::OK();
-        });
-  }
-
-  // One chase round, parallel form: fan the stratum's (rule, id-window)
-  // match tasks across the pool, then fold the buffered heads back in on
-  // this thread in canonical task order — which replays exactly the
-  // sequential interleaving of existential reuse, aggregate contributions,
-  // fresh-null assignment, and duplicate handling. A task's match-phase
-  // error propagates after its buffered heads are applied (those heads
-  // precede the erroring match in canonical order) and before any later
-  // task's outputs.
-  Status RunRoundParallel(const std::vector<int>& rule_indexes,
-                          FactId delta_begin, FactId limit) {
-    // Execution plans are decided and recorded on this thread, in stratum
-    // rule order — identically to the sequential path — before any task
-    // exists.
-    std::vector<RuleExecutionPlan> eplans(rule_indexes.size());
-    for (size_t k = 0; k < rule_indexes.size(); ++k) {
-      PlanRuleExecution(plans_[rule_indexes[k]], delta_begin, limit,
-                        &eplans[k]);
-      RecordExecution(plans_[rule_indexes[k]], eplans[k]);
-    }
-    std::vector<MatchTask> tasks;
-    for (size_t k = 0; k < rule_indexes.size(); ++k) {
-      if (eplans[k].passes.empty()) continue;
-      PlanRuleTasks(plans_[rule_indexes[k]], eplans[k], &tasks);
-    }
-    if (tasks.empty()) return Status::OK();
-    double match_seconds = 0.0;
-    {
-      obs::Span span(tracer_, "chase.match.parallel");
-      span.AddAttribute("tasks", static_cast<int64_t>(tasks.size()))
-          .AddAttribute("threads",
-                        static_cast<int64_t>(pool_->num_threads()));
-      std::optional<ScopedTimer> timer;
-      if (metrics_ != nullptr) timer.emplace(&match_seconds);
-      pool_->ParallelFor(tasks.size(), [this, &tasks](size_t i) {
-        RunMatchTask(&tasks[i]);
-      });
-    }
-    if (metrics_ != nullptr) match_hist_->Observe(match_seconds);
-    obs::Span merge_span(tracer_, "chase.merge");
-    for (MatchTask& task : tasks) {
-      result_.stats.matches += task.matches;
-      if (task.plan->matches_counter != nullptr && task.matches > 0) {
-        task.plan->matches_counter->Increment(task.matches);
-      }
-      obs::RuleProfile* profile = ProfileFor(*task.plan);
-      if (profile != nullptr) {
-        // Windows partition the sequential scan, so these sums reproduce
-        // the sequential totals at any thread count; match_seconds sums
-        // worker wall time and is the one thread-dependent column.
-        profile->matches += task.matches;
-        profile->delta_facts += task.pivot_rows;
-        profile->match_seconds += task.seconds;
-      }
-      // ApplyHead accumulates into head_seconds_ / aggregate_seconds_;
-      // observe this task's share, as EvaluateRule does per rule.
-      const double head_before = head_seconds_;
-      const double aggregate_before = aggregate_seconds_;
-      {
-        std::optional<ScopedTimer> derive_timer;
-        if (profile != nullptr) {
-          derive_timer.emplace(&profile->derive_seconds);
-        }
-        const RulePlan& plan = *task.plan;
-        const size_t num_values = static_cast<size_t>(plan.num_eval_slots);
-        const size_t num_facts = plan.body.size();
-        for (int64_t k = 0; k < task.heads; ++k) {
-          const size_t head = static_cast<size_t>(k);
-          auto values = task.values.begin() +
-                        static_cast<ptrdiff_t>(head * num_values);
-          std::move(values, values + static_cast<ptrdiff_t>(num_values),
-                    apply_slots_.begin());
-          TEMPLEX_RETURN_IF_ERROR(ApplyHead(
-              plan, apply_slots_.data(),
-              std::span<const FactId>(task.facts.data() + head * num_facts,
-                                      num_facts)));
-        }
-      }
-      if (metrics_ != nullptr) {
-        const double head = head_seconds_ - head_before;
-        const double aggregate = aggregate_seconds_ - aggregate_before;
-        if (head > 0.0) head_hist_->Observe(head);
-        if (aggregate > 0.0) aggregate_hist_->Observe(aggregate);
-      }
-      TEMPLEX_RETURN_IF_ERROR(task.status);
     }
     return Status::OK();
   }
@@ -1305,12 +1086,10 @@ class ChaseRun {
     return true;
   }
 
-  // Match-side half of processing a body homomorphism: negation-as-failure,
-  // assignments (written into their slots), and pre-aggregate conditions.
-  // Reads only state frozen for the round (store, graph, plans), so
-  // parallel match tasks run it concurrently. The one filter for every
-  // caller: the sequential round, the parallel match tasks and the
-  // constraint sweep. *pass is false when the match was filtered out.
+  // The filter on a body homomorphism: negation-as-failure, assignments
+  // (written into their slots), and pre-aggregate conditions. Shared by
+  // rule evaluation and the constraint sweep. *pass is false when the
+  // match was filtered out.
   Status EvalMatch(const RulePlan& plan, Value* slots, bool* pass) const {
     *pass = false;
     for (const AtomPlan& atom : plan.negative_body) {
@@ -1330,24 +1109,16 @@ class ChaseRun {
     return Status::OK();
   }
 
-  // Apply-side half: aggregation state updates and head emission, which
-  // mutate the graph/store/aggregates and therefore always run on the
-  // driving thread, in canonical match order. `slots` holds the filtered
-  // match (RulePlan::num_eval_slots values) with room for the rest of the
-  // rule's binding slots.
-  Status ApplyHead(const RulePlan& plan, Value* slots,
-                   std::span<const FactId> facts) {
-    if (plan.rule->has_aggregate()) {
-      return ProcessAggregateMatch(plan, slots, facts);
-    }
-    return EmitHead(plan, slots, facts, nullptr);
-  }
-
+  // Filters a match, then updates the aggregation state and emits the
+  // head. The match's slots have room for all of the rule's binding slots.
   Status ProcessMatch(const RulePlan& plan, const BodyMatch& match) {
     bool pass = false;
     TEMPLEX_RETURN_IF_ERROR(EvalMatch(plan, match.slots, &pass));
     if (!pass) return Status::OK();
-    return ApplyHead(plan, match.slots, match.facts);
+    if (plan.rule->has_aggregate()) {
+      return ProcessAggregateMatch(plan, match.slots, match.facts);
+    }
+    return EmitHead(plan, match.slots, match.facts, nullptr);
   }
 
   Status ProcessAggregateMatch(const RulePlan& plan, Value* slots,
@@ -1519,9 +1290,9 @@ class ChaseRun {
 
   // Keeps a bounded list of acyclic re-derivations of an existing fact that
   // tell a different story (other reasoning stories for the analyst). The
-  // cap is checked before anything is materialized; the candidate's parents
-  // are built first, and its binding and contributions only once it is
-  // recorded.
+  // cap is checked before anything is materialized; an aggregate
+  // candidate's parent union is built only once it tells a new story, and
+  // its binding and contributions only once it is recorded.
   void MaybeRecordAlternative(FactId id, const RulePlan& plan,
                               const Value* slots,
                               std::span<const FactId> facts,
@@ -1532,7 +1303,6 @@ class ChaseRun {
         config_.max_alternative_derivations) {
       return;
     }
-    const std::span<const FactId> parents = DerivationParents(facts, group);
     // Distinctness first: re-finding a recorded story is by far the common
     // case (aggregates re-emit their group every round), and the tests are
     // int compares — the ancestor walk below is O(sub-graph) and must only
@@ -1541,17 +1311,18 @@ class ChaseRun {
     // whenever a recorded derivation by its rule has parents included in
     // the candidate's: the same monotonic fold seen again with more
     // contributors, which maps onto the same reasoning path (DESIGN.md §3).
+    // Its parents are stamped straight from the group's contributors.
     bool marked = false;
     for (size_t k = 0; k <= existing.alternatives.size(); ++k) {
       const Derivation& known =
           k == 0 ? existing.derivation : existing.alternatives[k - 1];
       if (known.rule_index != plan.index) continue;
       if (group == nullptr) {
-        if (std::ranges::equal(known.parents, parents)) return;
+        if (std::ranges::equal(known.parents, facts)) return;
         continue;
       }
       if (!marked) {
-        MarkParents(parents);
+        MarkGroupParents(*group);
         marked = true;
       }
       if (std::ranges::all_of(known.parents, [this](FactId parent) {
@@ -1560,6 +1331,7 @@ class ChaseRun {
         return;
       }
     }
+    const std::span<const FactId> parents = DerivationParents(facts, group);
     // Acyclic only: no parent may (transitively, along primary
     // derivations) depend on the fact itself, or proofs built from the
     // alternative would loop. Ids are no proxy here — a fact derived later
@@ -1579,9 +1351,10 @@ class ChaseRun {
     }
   }
 
-  // Stamps `parents` with a fresh epoch in parent_stamp_, so an inclusion
-  // test is one compare per id and allocates nothing.
-  void MarkParents(std::span<const FactId> parents) {
+  // Stamps the parents of `group`'s contributions with a fresh epoch in
+  // parent_stamp_, so an inclusion test is one compare per id and
+  // allocates nothing.
+  void MarkGroupParents(AggregateState::GroupRef group) {
     if (parent_stamp_.size() < static_cast<size_t>(result_.graph.size())) {
       parent_stamp_.resize(result_.graph.size(), 0);
     }
@@ -1589,12 +1362,13 @@ class ChaseRun {
       std::fill(parent_stamp_.begin(), parent_stamp_.end(), 0);
       parent_epoch_ = 1;
     }
-    for (FactId parent : parents) parent_stamp_[parent] = parent_epoch_;
+    aggregates_.ForEachParent(group, [this](FactId parent) {
+      parent_stamp_[parent] = parent_epoch_;
+    });
   }
 
   const Program& program_;
   const ChaseConfig& config_;
-  ThreadPool* pool_;               // null: sequential rounds
   obs::MetricsRegistry* metrics_;  // may be null
   obs::Tracer* tracer_;            // may be null; nulled by Degrade()
   obs::EventLog* event_log_;       // may be null
@@ -1613,16 +1387,13 @@ class ChaseRun {
   AggregateState aggregates_;
   std::vector<RulePlan> plans_;
   int64_t next_null_id_ = 1;
-  // Driving-thread scratch of the apply side, reused across matches: the
-  // slot array a buffered parallel head is replayed in (sized for the
-  // widest plan by CompilePlans), the aggregate keys, and a candidate's
-  // parents before they are known to be kept.
-  std::vector<Value> apply_slots_;
+  // Scratch of the apply side, reused across matches: the aggregate keys,
+  // and the parents of a head before they are copied into the graph.
   std::vector<Value> group_key_scratch_;
   std::vector<Value> contributor_key_scratch_;
   std::vector<FactId> parents_scratch_;
   // Epoch stamps over fact ids, marking a candidate alternative's parents
-  // (MarkParents).
+  // (MarkGroupParents).
   std::vector<uint32_t> parent_stamp_;
   uint32_t parent_epoch_ = 0;
   // Checkpointing state (Run() with ChaseConfig::checkpoint enabled; null /
@@ -1723,19 +1494,11 @@ std::vector<Fact> ChaseResult::Match(const Fact& pattern) const {
   return answers;
 }
 
-ChaseEngine::ChaseEngine(ChaseConfig config) : config_(config) {
-  int threads = config_.num_threads;
-  if (threads == 0) threads = ThreadPool::HardwareConcurrency();
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-}
-
-ChaseEngine::~ChaseEngine() = default;
-ChaseEngine::ChaseEngine(ChaseEngine&&) noexcept = default;
-ChaseEngine& ChaseEngine::operator=(ChaseEngine&&) noexcept = default;
+ChaseEngine::ChaseEngine(ChaseConfig config) : config_(std::move(config)) {}
 
 Result<ChaseResult> ChaseEngine::Run(const Program& program,
                                      const std::vector<Fact>& edb) const {
-  ChaseRun run(program, config_, pool_.get());
+  ChaseRun run(program, config_);
   Result<ChaseResult> result = run.Run(edb);
   if (!result.ok()) RecordFailure(config_, result.status());
   return result;
@@ -1744,7 +1507,7 @@ Result<ChaseResult> ChaseEngine::Run(const Program& program,
 Result<ChaseResult> ChaseEngine::Extend(
     ChaseResult base, const Program& program,
     const std::vector<Fact>& additional) const {
-  ChaseRun run(program, config_, pool_.get());
+  ChaseRun run(program, config_);
   Result<ChaseResult> result = run.Extend(std::move(base), additional);
   if (!result.ok()) RecordFailure(config_, result.status());
   return result;

@@ -20,7 +20,6 @@ class Fs;              // common/fs.h
 class MemoryBudget;    // common/memory.h
 class PositionIndex;   // engine/position_index.h
 class StallWatchdog;   // common/watchdog.h
-class ThreadPool;      // common/thread_pool.h
 
 namespace obs {
 class EventLog;  // obs/event_log.h
@@ -32,7 +31,7 @@ class Tracer;    // obs/trace.h
 // fact count here at every round boundary (and once at start, so a resumed
 // run reports its restored position immediately). An external observer —
 // the service's /readyz warming report — reads the atomics without touching
-// the mid-chase graph. Written by the driving thread only; relaxed loads
+// the mid-chase graph. Written by the chase's thread only; relaxed loads
 // are fine (the values are advisory, not a synchronization point).
 struct ChaseProgress {
   std::atomic<int64_t> rounds{0};
@@ -61,13 +60,9 @@ struct ChaseConfig {
   // feature). Only acyclic re-derivations through a different rule or
   // different facts are recorded.
   int max_alternative_derivations = 4;
-  // Threads for the match phase of each chase round. 1 (the default) keeps
-  // the fully sequential engine; 0 means "use hardware concurrency"; N > 1
-  // fans (rule, id-window) match tasks across N threads and merges their
-  // buffered heads in canonical order before the sequential apply phase.
-  // Successful runs are byte-identical across thread counts: same fact ids,
-  // chase graph, provenance, stats, and per-rule counters (only the phase
-  // *latency* histograms and span shapes differ — see DESIGN.md).
+  // Ignored: the chase runs on the calling thread (DESIGN.md §6). Kept so
+  // callers that set a thread count, and the CLI and daemon `--threads`
+  // flags, keep working.
   int num_threads = 1;
   // Optional observability sinks (obs/metrics.h, obs/trace.h); both may be
   // null, in which case instrumented code paths reduce to one pointer test
@@ -83,22 +78,20 @@ struct ChaseConfig {
   // Flight recorder (obs/event_log.h); may be null, in which case event
   // sites reduce to one pointer test each. When set, the run records
   // structured events — run/stratum/round boundaries at info level, per
-  // rule evaluation and per parallel match task at debug level, each
-  // carrying the in-flight rule/stratum/round — and on any failing Run()
-  // or Extend() (deadline, cancellation, chase error, checkpoint
-  // kDataLoss) the engine dumps the recorder's last events to the log's
-  // crash-report path, so chaos failures are diagnosable post-mortem.
-  // Must outlive the run.
+  // rule evaluation at debug level, each carrying the in-flight
+  // rule/stratum/round — and on any failing Run() or Extend() (deadline,
+  // cancellation, chase error, checkpoint kDataLoss) the engine dumps the
+  // recorder's last events to the log's crash-report path, so chaos
+  // failures are diagnosable post-mortem. Must outlive the run.
   obs::EventLog* event_log = nullptr;
   // Failure model (common/deadline.h): the run returns kDeadlineExceeded /
   // kCancelled — never crashes, hangs, or leaks — as soon as an
   // interruption point observes the deadline passed or the token fired.
   // Interruption points: run entry, every round boundary, and every match
-  // enumerated (sequentially or on a pool thread; worker tasks abort
-  // cooperatively and the pool is drained before the status returns).
-  // Partial chase state is discarded — unless checkpointing (below) is on,
-  // in which case the rounds committed before the interruption survive on
-  // disk and a later run with `resume` continues from them.
+  // enumerated. Partial chase state is discarded — unless checkpointing
+  // (below) is on, in which case the rounds committed before the
+  // interruption survive on disk and a later run with `resume` continues
+  // from them.
   // Defaults: no deadline, no cancellation — zero-cost for callers that
   // leave them unset.
   Deadline deadline;
@@ -114,9 +107,8 @@ struct ChaseConfig {
   // round finishes, a final checkpoint commits (when checkpointing is on),
   // and Run() returns kResourceExhausted — a later run with
   // `checkpoint.resume` (on a bigger box, without the budget) continues
-  // byte-identically. Like num_threads, the budget is an
-  // execution-environment knob: deliberately outside the checkpoint config
-  // hash. Must outlive the run.
+  // byte-identically. The budget is an execution-environment knob:
+  // deliberately outside the checkpoint config hash. Must outlive the run.
   MemoryBudget* budget = nullptr;
   // Stall watchdog (common/watchdog.h); may be null. The run heartbeats it
   // from the match loop's interruption probes and at round boundaries, and
@@ -143,8 +135,8 @@ struct ChaseConfig {
   // a final flush at fixpoint. With `resume` also set, Run() restores a
   // committed checkpoint whose config hash matches this program + EDB +
   // semantics-affecting config, skips the restored rounds, and continues
-  // to fixpoint — byte-identical to the uninterrupted run, at any thread
-  // count (num_threads is deliberately outside the config hash).
+  // to fixpoint — byte-identical to the uninterrupted run (num_threads,
+  // which is ignored, stays outside the config hash).
   //
   // Applies to Run() only; Extend() ignores the policy (its input is an
   // already-saturated result, not a resumable run).
@@ -186,8 +178,7 @@ struct ChaseStats {
   int64_t derived_facts = 0;
   int64_t rounds = 0;
   int64_t matches = 0;  // body homomorphisms enumerated
-  // Per-(rule, round) admission decisions, made once on the driving thread
-  // (so identical at any thread count): a rule execution is skipped when
+  // Per-(rule, round) admission decisions: a rule execution is skipped when
   // none of its semi-naive passes has a pivot row in its window.
   int64_t skipped_rules = 0;
   int64_t executed_rules = 0;
@@ -204,8 +195,8 @@ struct ChaseResult {
   obs::MetricsSnapshot metrics;
   // Per-(rule, stratum) cost attribution, collected when a metrics
   // registry is attached (empty otherwise), ordered by rule index then
-  // stratum. The count columns are byte-identical across thread counts;
-  // the seconds columns are wall-clock and are not (see obs/rule_profile.h).
+  // stratum. The count columns are deterministic; the seconds columns are
+  // wall-clock and are not (see obs/rule_profile.h).
   std::vector<obs::RuleProfile> rule_profiles;
   // Negative-constraint violations found after fixpoint (empty when the
   // program has no constraints or the instance satisfies them all).
@@ -248,13 +239,6 @@ struct ChaseResult {
 class ChaseEngine {
  public:
   explicit ChaseEngine(ChaseConfig config = ChaseConfig());
-  ~ChaseEngine();
-
-  // Movable, not copyable: the engine owns its thread pool (spawned once in
-  // the constructor when config.num_threads != 1 and reused across Run and
-  // Extend calls).
-  ChaseEngine(ChaseEngine&&) noexcept;
-  ChaseEngine& operator=(ChaseEngine&&) noexcept;
 
   // Runs the chase of `program` over the extensional facts `edb`.
   Result<ChaseResult> Run(const Program& program,
@@ -271,7 +255,6 @@ class ChaseEngine {
 
  private:
   ChaseConfig config_;
-  std::unique_ptr<ThreadPool> pool_;  // null when running sequentially
 };
 
 // Fingerprint used to tie a ChaseResult to its program (exposed for tests).

@@ -145,8 +145,8 @@ class ChaseGraph {
   // Content-based footprint of the graph (nodes + a fixed per-node index
   // overhead), maintained incrementally by AddNode. Mutations that bypass
   // AddNode (recording an alternative through mutable_node) account their
-  // growth via AddApproxBytes. Deterministic across thread counts, join
-  // modes, and checkpoint resume — see common/memory.h.
+  // growth via AddApproxBytes. Deterministic across checkpoint resume —
+  // see common/memory.h.
   int64_t approx_bytes() const { return approx_bytes_; }
   void AddApproxBytes(int64_t bytes) { approx_bytes_ += bytes; }
 

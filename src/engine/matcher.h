@@ -35,18 +35,12 @@ struct BodyMatch {
 //
 // The two users:
 //  - Semi-naive delta evaluation: pivot_atom = the body position holding a
-//    "new" fact, [pivot_begin, pivot_end) ⊆ [delta_begin, limit) a slice of
-//    the round's delta, pre_pivot_cap = delta_begin. Iterating the pivot
+//    "new" fact, [pivot_begin, pivot_end) = the round's delta
+//    [delta_begin, limit), pre_pivot_cap = delta_begin. Iterating the pivot
 //    over every body position enumerates exactly the matches touching the
-//    delta, without duplicates; slicing the delta window splits one
-//    position's matches across parallel tasks.
-//  - Partitioned full evaluation: pivot_atom = 0 with
-//    [pivot_begin, pivot_end) a slice of [0, limit) and pre_pivot_cap
-//    unused (no atom precedes position 0) splits a full pass by the first
-//    atom's fact id.
-// Concatenating the slices of a window in ascending id order reproduces
-// the unpartitioned enumeration order exactly — the property the parallel
-// chase's deterministic merge rests on.
+//    delta, without duplicates.
+//  - Full evaluation: pivot_atom = 0 with [pivot_begin, pivot_end) =
+//    [0, limit); pre_pivot_cap is unused (no atom precedes position 0).
 struct MatchWindow {
   FactId limit = 0;
   int pivot_atom = -1;  // -1: every atom ranges over [0, limit)
@@ -66,8 +60,7 @@ struct MatchWindow {
 // across body atoms, so a Binding materialized from the slots is
 // byte-identical to what the string-keyed matcher produced.
 //
-// Read-only over `store` and `graph`: concurrent enumerations over the
-// same frozen store are safe (the parallel match phase relies on this).
+// Read-only over `store` and `graph`.
 //
 // Stops and propagates the first non-OK status returned by the callback.
 Status EnumerateMatches(const RulePlan& plan, const FactStore& store,

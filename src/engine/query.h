@@ -80,7 +80,7 @@ Status ValidateGoalPattern(const Program& program,
 // (kAuto by default).
 //
 // The evaluator honors the config's deadline, cancellation token, memory
-// budget, stall watchdog, and thread count — the relevance pass checks
+// budget and stall watchdog — the relevance pass checks
 // interruption between subqueries, the chase enforces everything exactly
 // as a full run would.
 class QueryEvaluator {

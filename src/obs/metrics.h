@@ -23,7 +23,7 @@ namespace obs {
 // instrumentation site branches on it, so a run without a registry pays
 // one pointer test per site and nothing else.
 //
-// Thread-safe: the parallel chase bumps instruments from worker threads.
+// Thread-safe: the daemon's workers bump instruments concurrently.
 // Counters and gauges are single atomic cells; histograms stripe their
 // buckets across several atomic cells so concurrent observers do not
 // serialize on one cache line; the registry's get-or-create maps take a

@@ -28,7 +28,7 @@ struct TraceEvent {
   int depth = 0;
   // Recording thread: 0 is the first thread that opened a span on this
   // tracer (the run's main thread), workers follow in first-span order.
-  // Exported as the Chrome trace "tid", so parallel rounds render as
+  // Exported as the Chrome trace "tid", so concurrent threads render as
   // parallel tracks.
   int tid = 0;
   std::vector<std::pair<std::string, std::string>> attributes;
@@ -60,9 +60,9 @@ class Tracer {
 
   // Merged copy of every thread's buffer: buffers in thread-registration
   // order (tid order), each buffer's events in span-close order — so for a
-  // single-threaded run children precede their parents, exactly the
-  // pre-parallel behaviour. Chrome orders by ts either way. Must not race
-  // with open spans closing; call it after joining / quiescing workers.
+  // single-threaded run children precede their parents. Chrome orders by
+  // ts either way. Must not race with open spans closing; call it after
+  // joining / quiescing workers.
   std::vector<TraceEvent> events() const;
   void Clear();
 

@@ -1,92 +1,16 @@
-// The work-stealing pool behind the parallel chase: every index must run
-// exactly once per ParallelFor, across repeated batches, uneven workloads,
-// and pools larger or smaller than the index count.
+// The FIFO pool behind the service's request workers: every submitted task
+// runs exactly once, and destruction drains the queue instead of dropping it.
 
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
 namespace templex {
 namespace {
-
-TEST(ThreadPoolTest, HardwareConcurrencyIsAtLeastOne) {
-  EXPECT_GE(ThreadPool::HardwareConcurrency(), 1);
-}
-
-TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  constexpr size_t kCount = 1000;
-  std::vector<std::atomic<int>> hits(kCount);
-  pool.ParallelFor(kCount, [&hits](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.num_threads(), 1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> sum{0};
-  pool.ParallelFor(16, [&sum, caller](size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    sum.fetch_add(static_cast<int>(i));
-  });
-  EXPECT_EQ(sum.load(), 120);
-}
-
-TEST(ThreadPoolTest, ZeroAndOneCountBatches) {
-  ThreadPool pool(4);
-  std::atomic<int> calls{0};
-  pool.ParallelFor(0, [&calls](size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-  pool.ParallelFor(1, [&calls](size_t i) {
-    EXPECT_EQ(i, 0u);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ThreadPoolTest, MoreParticipantsThanTasks) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  pool.ParallelFor(3, [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPoolTest, ReusableAcrossManyBatches) {
-  // The chase runs one batch per round; the pool must come back clean every
-  // time, including back-to-back batches of different sizes.
-  ThreadPool pool(3);
-  for (int round = 0; round < 200; ++round) {
-    const size_t count = static_cast<size_t>(round % 17) + 1;
-    std::atomic<size_t> done{0};
-    pool.ParallelFor(count,
-                     [&done](size_t) { done.fetch_add(1); });
-    ASSERT_EQ(done.load(), count) << "round " << round;
-  }
-}
-
-TEST(ThreadPoolTest, StealingCoversSkewedWork) {
-  // One slice gets all the slow tasks; the others' participants must steal
-  // them rather than idle, and the batch still completes exactly.
-  ThreadPool pool(4);
-  constexpr size_t kCount = 64;
-  std::atomic<int> done{0};
-  pool.ParallelFor(kCount, [&done](size_t i) {
-    if (i < kCount / 4) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    done.fetch_add(1);
-  });
-  EXPECT_EQ(done.load(), static_cast<int>(kCount));
-}
 
 TEST(ThreadPoolTest, DestructionWithIdleWorkersIsClean) {
   // Construct-and-destroy without ever dispatching: workers must exit.
@@ -161,25 +85,6 @@ TEST(ThreadPoolTest, TasksMaySubmitFurtherTasksDuringDrain) {
     });
   }
   EXPECT_EQ(runs.load(), 3);
-}
-
-TEST(ThreadPoolTest, SubmitAndParallelForCoexist) {
-  // The chase's ParallelFor batches and the service's Submit queue share
-  // the workers; neither starves the other.
-  ThreadPool pool(4);
-  std::atomic<int> task_runs{0};
-  std::atomic<int> index_runs{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&task_runs] { task_runs.fetch_add(1); });
-  }
-  pool.ParallelFor(64, [&index_runs](size_t) { index_runs.fetch_add(1); });
-  EXPECT_EQ(index_runs.load(), 64);
-  // Wait for the submitted tasks (no completion API by design — the
-  // destructor is the drain point; poll here to assert liveness).
-  for (int spin = 0; spin < 10000 && task_runs.load() < 50; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(task_runs.load(), 50);
 }
 
 }  // namespace

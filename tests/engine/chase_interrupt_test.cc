@@ -141,7 +141,7 @@ TEST(ChaseInterruptTest, ExtendHonoursTheFailureModel) {
 }
 
 TEST(ChaseInterruptTest, EngineIsReusableAfterAnInterruptedRun) {
-  // An aborted run must leave the engine (and its pool) healthy: the same
+  // An aborted run must leave the engine healthy: the same
   // engine completes a normal run afterwards, identical to a fresh one.
   ChaseConfig config;
   config.num_threads = 4;

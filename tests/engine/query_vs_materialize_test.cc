@@ -3,8 +3,7 @@
 // answered by QueryEvaluator must return the exact answer sequence a full
 // materialization followed by a pattern filter returns, and Explainer must
 // produce byte-identical explanation text against the restricted chase.
-// Runs at 1, 2, and 8 threads — the byte-identity contract includes the
-// parallel chase.
+// Runs at 1, 2, and 8 threads, which the chase accepts and ignores.
 
 #include <gtest/gtest.h>
 

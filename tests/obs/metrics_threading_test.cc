@@ -1,7 +1,7 @@
 // Thread-safety of the obs instruments: counters, gauges, histograms, the
 // registry's get-or-create, and the tracer's per-thread buffers, hammered
-// from many threads. Totals must come out exact — the parallel chase's
-// counter determinism rests on that — and nothing may tear or crash (the
+// from many threads. Totals must come out exact — the daemon's workers
+// share one registry — and nothing may tear or crash (the
 // CI ThreadSanitizer job runs this binary to catch the races a lucky
 // interleaving would hide).
 

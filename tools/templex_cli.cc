@@ -59,8 +59,8 @@
 // --rule-profile prints per-rule cost attribution on stderr after the
 //              chase: matches, firings, duplicates, and delta-window sizes
 //              per (rule, stratum), sorted by matches. The columns are
-//              deterministic, so the table is byte-identical across
-//              --threads values.
+//              deterministic, so the table is byte-identical from run to
+//              run.
 // --rule-profile-top keep only the K most expensive rows (default 20,
 //              0 = all; implies nothing by itself — pair with
 //              --rule-profile).
@@ -75,9 +75,9 @@
 // All file outputs (--report, --dump-json, --metrics-json, --metrics-prom,
 // --trace-out, --crash-report) are written atomically: tmp + fsync +
 // rename, so a killed run never leaves a partial artifact.
-// --threads    match-phase threads for each chase round (default 1 =
-//              sequential, 0 = hardware concurrency); results are
-//              byte-identical across thread counts.
+// --threads    accepted and ignored: the chase runs on one thread
+//              (DESIGN.md §6). The value must still be a non-negative
+//              integer.
 // --deadline-ms overall wall-clock budget in milliseconds for reasoning
 //              and explanation. When it expires the chase aborts cleanly
 //              with DeadlineExceeded, and any LLM enhancement still
@@ -90,8 +90,7 @@
 //              (default 1; requires --checkpoint-dir).
 // --resume     resume from the checkpoint in --checkpoint-dir when one is
 //              present (exact same program, facts, and semantics-affecting
-//              config required); byte-identical to the uninterrupted run,
-//              at any --threads value.
+//              config required); byte-identical to the uninterrupted run.
 // --max-bytes  memory budget for the chase's accounted footprint (chase
 //              graph + provenance, indexes, aggregates). The flag value
 //              is the hard watermark: crossing it finishes the current
@@ -243,7 +242,6 @@ int main(int argc, char** argv) {
   bool profile = false;
   bool rule_profile = false;
   long rule_profile_top = 20;
-  int num_threads = 1;
   EvalMode eval_mode = EvalMode::kAuto;
   long deadline_ms = -1;  // < 0: no deadline
   std::string checkpoint_dir;
@@ -321,6 +319,7 @@ int main(int argc, char** argv) {
       }
       rule_profile_top = parsed;
     } else if (arg == "--threads") {
+      // Validated, then ignored: the chase runs on one thread.
       const std::string& value = next("--threads");
       char* end = nullptr;
       const long parsed = std::strtol(value.c_str(), &end, 10);
@@ -328,7 +327,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threads expects a non-negative integer\n");
         return Usage();
       }
-      num_threads = static_cast<int>(parsed);
     } else if (arg == "--eval-mode") {
       const std::string& value = next("--eval-mode");
       Result<EvalMode> parsed = ParseEvalMode(value);
@@ -528,7 +526,6 @@ int main(int argc, char** argv) {
     sigaction(SIGINT, &action, nullptr);
     sigaction(SIGTERM, &action, nullptr);
   }
-  chase_config.num_threads = num_threads;
   chase_config.deadline = deadline;
   chase_config.checkpoint.dir = checkpoint_dir;
   chase_config.checkpoint.every_rounds = checkpoint_every_rounds;

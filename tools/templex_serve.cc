@@ -25,7 +25,7 @@
 // --port-file    write the bound port to FILE atomically (tmp + rename),
 //                so scripts using --port 0 can find the daemon;
 // --workers      request worker threads (default 4);
-// --threads      chase match threads for warm-up and reloads (default 1);
+// --threads      accepted and ignored: the chase runs on one thread;
 // --max-inflight accept-side connection cap — beyond it connections are
 //                shed 503 + Retry-After straight from the accept thread;
 // --admit-max    admitted work requests in flight (default 8);
@@ -131,7 +131,6 @@ struct ServeFlags {
   int port = 0;
   std::string port_file;
   int workers = 4;
-  int threads = 1;
   int max_inflight = 64;
   int admit_max = 8;
   int tenant_max = 4;
@@ -193,7 +192,7 @@ int Serve(int argc, char** argv) {
     } else if (arg == "--workers") {
       flags.workers = static_cast<int>(next_int("--workers"));
     } else if (arg == "--threads") {
-      flags.threads = static_cast<int>(next_int("--threads"));
+      next_int("--threads");  // validated, then ignored
     } else if (arg == "--max-inflight") {
       flags.max_inflight = static_cast<int>(next_int("--max-inflight"));
     } else if (arg == "--admit-max") {
@@ -298,7 +297,6 @@ int Serve(int argc, char** argv) {
     }
 
     ChaseConfig chase_config;
-    chase_config.num_threads = flags.threads;
     chase_config.deadline = deadline;
     chase_config.cancel = cancel;
     chase_config.metrics = &metrics;
