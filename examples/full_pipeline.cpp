@@ -71,7 +71,8 @@ Own,"AdriaticoFund","TirrenoCredit",1.3
 
   std::printf("== Data-quality violations ==\n");
   for (const ConstraintViolation& violation : app.value()->violations()) {
-    std::printf("  %s\n", violation.ToString().c_str());
+    std::printf("  %s\n",
+                violation.ToString(app.value()->chase().graph).c_str());
   }
 
   std::printf("\n== Who does UmbriaFin control? (wildcard query) ==\n");

@@ -34,23 +34,6 @@ std::unique_ptr<Expr> Expr::Clone() const {
   return Binary(op_, lhs_->Clone(), rhs_->Clone());
 }
 
-Result<Value> Expr::Eval(const Binding& binding) const {
-  if (is_leaf()) {
-    if (term_.is_constant()) return term_.constant_value();
-    const Value* v = binding.Find(term_.variable_name());
-    if (v == nullptr) {
-      return Status::InvalidArgument("unbound variable in expression: " +
-                                     term_.variable_name());
-    }
-    return *v;
-  }
-  Result<Value> lhs = lhs_->Eval(binding);
-  if (!lhs.ok()) return lhs.status();
-  Result<Value> rhs = rhs_->Eval(binding);
-  if (!rhs.ok()) return rhs.status();
-  return ApplyArithmetic(*this, lhs.value(), rhs.value());
-}
-
 Result<Value> ApplyArithmetic(const Expr& node, const Value& lhs,
                               const Value& rhs) {
   if (!lhs.is_numeric() || !rhs.is_numeric()) {
@@ -128,14 +111,6 @@ const char* ComparatorToString(Comparator cmp) {
       return "!=";
   }
   return "?";
-}
-
-Result<bool> Condition::Eval(const Binding& binding) const {
-  Result<Value> l = lhs->Eval(binding);
-  if (!l.ok()) return l.status();
-  Result<Value> r = rhs->Eval(binding);
-  if (!r.ok()) return r.status();
-  return ApplyComparison(*this, l.value(), r.value());
 }
 
 Result<bool> ApplyComparison(const Condition& condition, const Value& a,

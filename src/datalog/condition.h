@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "datalog/binding.h"
 #include "datalog/term.h"
 
 namespace templex {
@@ -24,10 +23,6 @@ class Expr {
 
   // Deep copy.
   std::unique_ptr<Expr> Clone() const;
-
-  // Evaluates under `binding`. Errors on unbound variables, non-numeric
-  // operands of arithmetic, and division by zero.
-  Result<Value> Eval(const Binding& binding) const;
 
   // Variable names occurring in the expression, without duplicates.
   std::vector<std::string> VariableNames() const;
@@ -76,19 +71,18 @@ struct Condition {
   Condition(Condition&&) = default;
   Condition& operator=(Condition&&) = default;
 
-  // Evaluates the comparison under `binding`. Numeric comparisons compare
-  // numerically; kEq/kNe additionally work on strings and booleans.
-  Result<bool> Eval(const Binding& binding) const;
-
   std::vector<std::string> VariableNames() const;
 
   std::string ToString() const;
 };
 
-// The operator and comparison steps of Expr::Eval and Condition::Eval,
-// given already-evaluated operands: `node` (a binary node) and `condition`
-// supply the operator and name the expression in error messages. Shared
-// with the chase's slot-compiled evaluation (engine/rule_plan.h).
+// The operator and comparison steps of expression evaluation, given
+// already-evaluated operands: `node` (a binary node) and `condition`
+// supply the operator and name the expression in error messages.
+// Arithmetic errors on non-numeric operands and division by zero; a
+// numeric comparison compares numerically, and kEq/kNe additionally work
+// on strings and booleans. Expressions are evaluated on compiled slots
+// (engine/rule_plan.h EvalSlotExpr / EvalSlotCondition).
 Result<Value> ApplyArithmetic(const Expr& node, const Value& lhs,
                               const Value& rhs);
 Result<bool> ApplyComparison(const Condition& condition, const Value& lhs,

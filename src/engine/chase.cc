@@ -149,7 +149,6 @@ class ChaseRun {
       TEMPLEX_RETURN_IF_ERROR(RestoreFrom(std::move(loaded).value(),
                                           strata.value().size(),
                                           &start_stratum, &resume_delta));
-      CompilePlans();
     } else {
       for (const Fact& fact : edb) {
         ChaseNode node;
@@ -302,16 +301,13 @@ class ChaseRun {
         bool pass = false;
         TEMPLEX_RETURN_IF_ERROR(EvalMatch(plan, match.slots, &pass));
         if (!pass) return Status::OK();
-        // A constraint has no aggregate and no head: its binding names are
+        // A constraint has no aggregate and no head: its binding slots are
         // exactly the body and assignment variables.
         ConstraintViolation violation;
-        violation.rule_label = plan.rule->label;
-        violation.binding.AssignSlots(plan.binding_names, match.slots);
+        violation.rule_index = plan.index;
+        violation.values.assign(match.slots,
+                                match.slots + plan.num_binding_slots());
         violation.facts = match.facts;
-        if (config_.fail_on_violation) {
-          return Status::FailedPrecondition("constraint violated: " +
-                                            violation.ToString());
-        }
         result_.violations.push_back(std::move(violation));
         return Status::OK();
       };
@@ -372,7 +368,8 @@ class ChaseRun {
   }
 
   // Compiles each plan's match program against the run graph's symbol
-  // table (interning, so rule predicates without facts still resolve).
+  // table (interning, so rule predicates without facts still resolve), and
+  // installs the plans' labels and binding names as the graph's RuleTable.
   // Must run after the graph that will be chased owns its final
   // SymbolTable — in Extend the base graph, table included, is moved in
   // after Prepare() — and before any rule enumeration.
@@ -380,9 +377,13 @@ class ChaseRun {
     for (RulePlan& plan : plans_) {
       CompileMatchPlan(&plan, &result_.graph.symbols());
     }
+    auto rules = std::make_shared<RuleTable>();
+    rules->reserve(plans_.size());
     for (RulePlan& plan : plans_) {
       ResolveNegatedPredicates(&plan, result_.graph.symbols());
+      rules->push_back({plan.rule->label, plan.binding_names});
     }
+    result_.graph.set_rules(std::move(rules));
   }
 
   Result<ChaseResult> Finalize() {
@@ -785,10 +786,11 @@ class ChaseRun {
   }
 
   // Rebuilds the run's full state from a loaded checkpoint: symbol table
-  // (in id order, so re-interning anywhere later is a lookup hit), chase
-  // graph + fact store, aggregate state, stats, null counter, and cursor.
-  // Structural inconsistencies are kDataLoss: the records passed their
-  // CRCs, so a violated invariant means the checkpoint lies about itself.
+  // (in id order, so re-interning anywhere later is a lookup hit), compiled
+  // plans and RuleTable, chase graph + fact store, aggregate state, stats,
+  // null counter, and cursor. Structural inconsistencies are kDataLoss: the
+  // records passed their CRCs, so a violated invariant means the
+  // checkpoint lies about itself.
   Status RestoreFrom(ChaseCheckpoint checkpoint, size_t num_strata,
                      size_t* start_stratum, FactId* resume_delta) {
     SymbolTable& symbols = result_.graph.symbols();
@@ -799,23 +801,31 @@ class ChaseRun {
       return Status::DataLoss(
           "checkpoint: symbol table contains duplicates");
     }
-    const std::vector<Rule>& rules = program_.rules();
+    // The checkpointed run compiled its plans before deriving anything, so
+    // every rule predicate is in the restored table: compiling only looks
+    // symbols up.
+    CompilePlans();
     const FactId total = static_cast<FactId>(checkpoint.nodes.size());
     for (FactId i = 0; i < total; ++i) {
       ChaseNode node = std::move(checkpoint.nodes[i]);
-      // Relabel every derivation from the program. Primary parents precede
-      // the fact; alternative parents may postdate it (acyclic, not
-      // id-ordered), but must exist.
+      // A derivation stores its rule's binding slots, no more and no fewer.
+      // Primary parents precede the fact; alternative parents may postdate
+      // it (acyclic, not id-ordered), but must exist.
       for (size_t k = 0; k <= node.alternatives.size(); ++k) {
-        Derivation& d = k == 0 ? node.derivation : node.alternatives[k - 1];
-        if (d.rule_index >= 0) {
-          if (static_cast<size_t>(d.rule_index) >= rules.size()) {
-            return Status::DataLoss(
-                "checkpoint: fact " + std::to_string(i) +
-                " derived by out-of-range rule " +
-                std::to_string(d.rule_index));
-          }
-          d.rule_label = rules[d.rule_index].label;
+        const Derivation& d =
+            k == 0 ? node.derivation : node.alternatives[k - 1];
+        const RuleSchema* rule = result_.graph.rule(d.rule_index);
+        if (d.rule_index >= 0 && rule == nullptr) {
+          return Status::DataLoss("checkpoint: fact " + std::to_string(i) +
+                                  " derived by out-of-range rule " +
+                                  std::to_string(d.rule_index));
+        }
+        const size_t slots = rule != nullptr ? rule->binding_names.size() : 0;
+        if (d.values.size() != slots) {
+          return Status::DataLoss(
+              "checkpoint: fact " + std::to_string(i) + " has " +
+              std::to_string(d.values.size()) + " binding values where its "
+              "rule has " + std::to_string(slots) + " slots");
         }
         const FactId parent_end = k == 0 ? i : total;
         for (FactId parent : d.parents) {
@@ -1202,7 +1212,7 @@ class ChaseRun {
   }
 
   // Instantiates the head over the slots and adds it unless present. The
-  // chase graph is probed once; the node's binding, parents and
+  // chase graph is probed once; the node's binding values, parents and
   // contributions are materialized only for a new fact (and, for a
   // duplicate, only if MaybeRecordAlternative keeps it). `group` names the
   // aggregate group whose provenance the head carries; null for rules
@@ -1280,8 +1290,7 @@ class ChaseRun {
                        const AggregateState::GroupRef* group,
                        Derivation* out) const {
     out->rule_index = plan.index;
-    out->rule_label = plan.rule->label;
-    out->binding.AssignSlots(plan.binding_names, slots);
+    out->values.assign(slots, slots + plan.num_binding_slots());
     out->parents.assign(parents.begin(), parents.end());
     if (group != nullptr) {
       aggregates_.Contributions(*group, &out->contributions);
@@ -1292,7 +1301,7 @@ class ChaseRun {
   // tell a different story (other reasoning stories for the analyst). The
   // cap is checked before anything is materialized; an aggregate
   // candidate's parent union is built only once it tells a new story, and
-  // its binding and contributions only once it is recorded.
+  // its binding values and contributions only once it is recorded.
   void MaybeRecordAlternative(FactId id, const RulePlan& plan,
                               const Value* slots,
                               std::span<const FactId> facts,
@@ -1441,9 +1450,9 @@ class ChaseRun {
 
 }  // namespace
 
-std::string ConstraintViolation::ToString() const {
-  return "constraint '" + rule_label + "' violated with " +
-         binding.ToString();
+std::string ConstraintViolation::ToString(const ChaseGraph& graph) const {
+  return "constraint '" + graph.RuleLabel(rule_index) + "' violated with " +
+         graph.BindingToString(rule_index, values);
 }
 
 Result<FactId> ChaseResult::Find(const Fact& fact) const {

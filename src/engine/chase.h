@@ -52,10 +52,6 @@ struct ChaseConfig {
   // When false, every round re-evaluates all rules over the whole database
   // (naive evaluation); used by the ablation benchmarks.
   bool semi_naive = true;
-  // When true, any negative-constraint violation turns the whole run into a
-  // FailedPrecondition error; otherwise violations are reported in
-  // ChaseResult::violations.
-  bool fail_on_violation = false;
   // How many alternative derivations to keep per fact (0 disables the
   // feature). Only acyclic re-derivations through a different rule or
   // different facts are recorded.
@@ -161,11 +157,15 @@ struct ChaseConfig {
 // One match of a negative constraint's body (φ(x̄) → ⊥): the instance
 // violates the constraint under this homomorphism.
 struct ConstraintViolation {
-  std::string rule_label;
-  Binding binding;
+  int rule_index = -1;
+  // The homomorphism as the constraint's binding slots (body and
+  // assignment variables), named by the chase graph's RuleTable.
+  std::vector<Value> values;
   std::vector<FactId> facts;  // the matched body facts, in body order
 
-  std::string ToString() const;
+  // "constraint 'c1' violated with {x=\"A\"}", names from `graph`, the
+  // graph the violation was found in.
+  std::string ToString(const ChaseGraph& graph) const;
 };
 
 // All fields are 64-bit: at the ROADMAP's target scale the fact counts

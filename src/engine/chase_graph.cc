@@ -24,10 +24,9 @@ int64_t ApproxBytes(const AggregateContribution& contribution) {
 
 int64_t ApproxBytes(const Derivation& derivation) {
   int64_t total = static_cast<int64_t>(sizeof(Derivation)) +
-                  static_cast<int64_t>(derivation.rule_label.size()) +
-                  derivation.binding.ApproxBytes() +
                   static_cast<int64_t>(derivation.parents.size() *
                                        sizeof(FactId));
+  for (const Value& v : derivation.values) total += v.ApproxBytes();
   for (const AggregateContribution& c : derivation.contributions) {
     total += ApproxBytes(c);
   }
@@ -42,6 +41,34 @@ int64_t ApproxBytes(const ChaseNode& node) {
                   static_cast<int64_t>(sizeof(Derivation));
   for (const Derivation& d : node.alternatives) total += ApproxBytes(d);
   return total;
+}
+
+const RuleSchema* ChaseGraph::rule(int rule_index) const {
+  if (rules_ == nullptr || rule_index < 0 ||
+      static_cast<size_t>(rule_index) >= rules_->size()) {
+    return nullptr;
+  }
+  return &(*rules_)[static_cast<size_t>(rule_index)];
+}
+
+const std::string& ChaseGraph::RuleLabel(int rule_index) const {
+  static const std::string kNone;
+  const RuleSchema* schema = rule(rule_index);
+  return schema != nullptr ? schema->label : kNone;
+}
+
+std::string ChaseGraph::BindingToString(int rule_index,
+                                        std::span<const Value> values) const {
+  const RuleSchema* schema = rule(rule_index);
+  std::string result = "{";
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) result += ", ";
+    if (schema != nullptr && i < schema->binding_names.size()) {
+      result += schema->binding_names[i];
+    }
+    result += "=" + values[i].ToString();
+  }
+  return result + "}";
 }
 
 std::pair<FactId, bool> ChaseGraph::AddNode(ChaseNode node) {
@@ -167,7 +194,7 @@ std::string ChaseGraph::ToDot(FactId goal) const {
     const Derivation& derivation = nodes_[id].derivation;
     for (FactId parent : derivation.parents) {
       dot += "  n" + std::to_string(parent) + " -> n" + std::to_string(id) +
-             " [label=\"" + derivation.rule_label + "\"];\n";
+             " [label=\"" + RuleLabel(derivation.rule_index) + "\"];\n";
     }
   }
   dot += "}\n";

@@ -2,13 +2,13 @@
 #define TEMPLEX_ENGINE_CHASE_GRAPH_H_
 
 #include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/flat_index.h"
-#include "datalog/binding.h"
 #include "datalog/symbol.h"
 #include "engine/fact.h"
 
@@ -24,15 +24,17 @@ struct AggregateContribution {
 };
 
 // A way a fact was derived: rule, homomorphism, matched facts, and (for
-// aggregations) the contributor set.
+// aggregations) the contributor set. Names are not stored here: the rule's
+// label and the variable of each value slot live once per rule in the
+// graph's RuleTable.
 struct Derivation {
   // Index of the deriving rule in the Program, or -1 for extensional facts.
   int rule_index = -1;
-  std::string rule_label;  // empty for extensional facts
 
   // The homomorphism θ of the deriving chase step (augmented with assignment
-  // and aggregate-result variables). Empty for extensional facts.
-  Binding binding;
+  // and aggregate-result variables) as slot values, in the order of the
+  // rule's RuleSchema::binding_names. Empty for extensional facts.
+  std::vector<Value> values;
 
   // Ids of the facts this fact directly derives from, in body-atom order
   // (for aggregations: the union over all contributions, deduplicated).
@@ -44,6 +46,17 @@ struct Derivation {
 
   bool is_extensional() const { return rule_index < 0; }
 };
+
+// What every derivation by one rule shares, kept once per rule instead of
+// on each derivation: the rule's label and the variable name of each value
+// slot (RulePlan::binding_names).
+struct RuleSchema {
+  std::string label;
+  std::vector<std::string> binding_names;
+};
+
+// Indexed by Derivation::rule_index.
+using RuleTable = std::vector<RuleSchema>;
 
 // Content-based footprint of a derivation / contribution (see
 // Value::ApproxBytes for the discipline: lengths, never capacities).
@@ -138,6 +151,26 @@ class ChaseGraph {
   const SymbolTable& symbols() const { return symbols_; }
   SymbolTable& symbols() { return symbols_; }
 
+  // The per-rule table the derivations index into. The chase installs it
+  // from its compiled plans; it is immutable, and copies of the graph share
+  // it.
+  void set_rules(std::shared_ptr<const RuleTable> rules) {
+    rules_ = std::move(rules);
+  }
+  // The schema of rule `rule_index`, or null when the table does not hold
+  // it (an extensional fact's -1, or a hand-built graph without a table).
+  const RuleSchema* rule(int rule_index) const;
+
+  // The label of rule `rule_index`; empty for an extensional fact's -1 or
+  // a rule the table does not hold.
+  const std::string& RuleLabel(int rule_index) const;
+
+  // θ of a derivation by rule `rule_index` (or of a constraint violation)
+  // as "{x=\"A\", s=0.6}", names from the rule table; "{}" for an
+  // extensional fact. For debugging, violations and digests.
+  std::string BindingToString(int rule_index,
+                              std::span<const Value> values) const;
+
   // GraphViz DOT rendering of the sub-graph deriving `goal` (the whole
   // graph if goal == kInvalidFactId). Edges are labelled with rule labels.
   std::string ToDot(FactId goal = kInvalidFactId) const;
@@ -166,6 +199,7 @@ class ChaseGraph {
   // references are held across insertions by the match enumerator.
   std::deque<std::vector<FactId>> by_predicate_;
   std::vector<FactId> empty_;
+  std::shared_ptr<const RuleTable> rules_;
   int64_t approx_bytes_ = 0;
 };
 

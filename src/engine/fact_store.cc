@@ -21,19 +21,4 @@ const std::vector<FactId>& FactStore::CandidatesFor(
   return graph_->FactsOf(atom.predicate);
 }
 
-bool MatchAtom(const Atom& atom, const Fact& fact, Binding* binding) {
-  if (atom.predicate != fact.predicate || atom.arity() != fact.arity()) {
-    return false;
-  }
-  for (int pos = 0; pos < atom.arity(); ++pos) {
-    const Term& t = atom.terms[pos];
-    if (t.is_constant()) {
-      if (!(t.constant_value() == fact.args[pos])) return false;
-    } else if (!binding->Bind(t.variable_name(), fact.args[pos])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace templex

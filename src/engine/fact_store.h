@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "datalog/atom.h"
-#include "datalog/binding.h"
 #include "engine/chase_graph.h"
 #include "engine/fact.h"
 #include "engine/position_index.h"
@@ -73,10 +71,6 @@ class FactStore {
   PositionIndex index_;
   std::vector<FactId> empty_;
 };
-
-// Returns true and extends `binding` iff `fact` matches `atom` under the
-// current (partial) binding: constants must equal, variables unify.
-bool MatchAtom(const Atom& atom, const Fact& fact, Binding* binding);
 
 }  // namespace templex
 

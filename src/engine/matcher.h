@@ -17,8 +17,7 @@ namespace templex {
 // plan.num_slots() are the body variables (RulePlan::slot_names); the rest
 // are the callback's scratch for the apply side — assignments, the
 // aggregate result, existential nulls — which the enumerator never reads.
-// A name-keyed Binding is materialized only by callers that keep one
-// (Binding::AssignSlots over RulePlan::binding_names).
+// A derivation the chase keeps copies them (Derivation::values).
 //
 // The BodyMatch handed to an enumeration callback aliases the enumerator's
 // scratch state — it is only valid for the duration of the callback; copy
@@ -57,8 +56,7 @@ struct MatchWindow {
 // (CompileMatchPlan), and candidate unification runs over dense value
 // slots — integer predicate compares, slot-indexed loads, no undo trail —
 // with no variable name in sight. Slot order is first-occurrence order
-// across body atoms, so a Binding materialized from the slots is
-// byte-identical to what the string-keyed matcher produced.
+// across body atoms (RulePlan::slot_names).
 //
 // Read-only over `store` and `graph`.
 //

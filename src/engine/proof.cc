@@ -43,7 +43,7 @@ std::vector<std::string> Proof::RuleLabelSequence() const {
   std::vector<std::string> labels;
   labels.reserve(steps_.size());
   for (FactId id : steps_) {
-    labels.push_back(derivation(id).rule_label);
+    labels.push_back(graph_->RuleLabel(derivation(id).rule_index));
   }
   return labels;
 }
@@ -70,7 +70,7 @@ std::string Proof::ToString() const {
   }
   for (FactId id : steps_) {
     const Derivation& step = derivation(id);
-    result += "  [" + step.rule_label + "]  " +
+    result += "  [" + graph_->RuleLabel(step.rule_index) + "]  " +
               graph_->node(id).fact.ToString() + "  <-";
     for (FactId parent : step.parents) {
       result += " " + graph_->node(parent).fact.ToString();

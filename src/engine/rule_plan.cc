@@ -19,19 +19,10 @@ int SlotOf(std::vector<std::string>* slot_names, const std::string& name) {
   return static_cast<int>(slot_names->size() - 1);
 }
 
-// Slot of an already-placed variable, or -1.
-int FindSlot(const std::vector<std::string>& slot_names,
-             const std::string& name) {
-  for (size_t i = 0; i < slot_names.size(); ++i) {
-    if (slot_names[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 // Appends `expr`'s subtree to `out` (root first) and returns its node
 // index. Variables resolve against `names`; validation guarantees every
-// one is bound (an unknown one compiles to slot -1 and fails evaluation
-// the way Expr::Eval does).
+// one is bound in a chase (an unknown one compiles to slot -1 and fails
+// evaluation).
 int CompileExpr(const Expr& expr, const std::vector<std::string>& names,
                 SlotExpr* out) {
   const int index = static_cast<int>(out->nodes.size());
@@ -54,31 +45,19 @@ int CompileExpr(const Expr& expr, const std::vector<std::string>& names,
   return index;
 }
 
-SlotExpr CompileSlotExpr(const Expr& expr,
-                         const std::vector<std::string>& names) {
-  SlotExpr out;
-  CompileExpr(expr, names, &out);
-  return out;
-}
-
 std::vector<SlotCondition> CompileConditions(
     const std::vector<const Condition*>& conditions,
     const std::vector<std::string>& names) {
   std::vector<SlotCondition> out;
   out.reserve(conditions.size());
   for (const Condition* c : conditions) {
-    SlotCondition sc;
-    sc.lhs = CompileSlotExpr(*c->lhs, names);
-    sc.rhs = CompileSlotExpr(*c->rhs, names);
-    sc.source = c;
-    out.push_back(std::move(sc));
+    out.push_back(CompileSlotCondition(*c, names));
   }
   return out;
 }
 
 // A leaf's value in place (no copy); a binary node evaluated into
-// *scratch. Mirrors Expr::Eval: operands left to right, then the
-// operator.
+// *scratch: operands left to right, then the operator.
 Result<const Value*> EvalNode(const SlotExpr& expr, int index,
                               const Value* slots, Value* scratch) {
   const SlotExpr::Node& node = expr.nodes[static_cast<size_t>(index)];
@@ -221,6 +200,29 @@ void Compile(RulePlan* plan, const SymbolTable& symbols, Resolve&& resolve) {
 
 }  // namespace
 
+int FindSlot(const std::vector<std::string>& names, const std::string& name) {
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == name) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+SlotExpr CompileSlotExpr(const Expr& expr,
+                         const std::vector<std::string>& names) {
+  SlotExpr out;
+  CompileExpr(expr, names, &out);
+  return out;
+}
+
+SlotCondition CompileSlotCondition(const Condition& condition,
+                                   const std::vector<std::string>& names) {
+  SlotCondition out;
+  out.lhs = CompileSlotExpr(*condition.lhs, names);
+  out.rhs = CompileSlotExpr(*condition.rhs, names);
+  out.source = &condition;
+  return out;
+}
+
 RulePlan MakeRulePlan(const Rule& rule, int index) {
   RulePlan plan;
   plan.rule = &rule;
@@ -284,6 +286,17 @@ void CompileMatchPlan(RulePlan* plan, const SymbolTable& symbols) {
   Compile(plan, symbols, [&symbols](const std::string& name) {
     return symbols.Lookup(name);
   });
+}
+
+std::vector<RulePlan> CompileProgramPlans(const Program& program) {
+  const SymbolTable no_symbols;
+  std::vector<RulePlan> plans;
+  plans.reserve(program.rules().size());
+  for (size_t i = 0; i < program.rules().size(); ++i) {
+    plans.push_back(MakeRulePlan(program.rules()[i], static_cast<int>(i)));
+    CompileMatchPlan(&plans.back(), no_symbols);
+  }
+  return plans;
 }
 
 void ResolveNegatedPredicates(RulePlan* plan, const SymbolTable& symbols) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "datalog/program.h"
 #include "datalog/rule.h"
 #include "datalog/symbol.h"
 
@@ -79,9 +80,21 @@ struct SlotAssignment {
   SlotExpr expr;
 };
 
-// Evaluates a compiled expression / condition over a slot array, with the
-// results and error messages of Expr::Eval / Condition::Eval on the
-// binding the slots stand for.
+// Slot of variable `name` in `names` (slot -> variable name), or -1.
+int FindSlot(const std::vector<std::string>& names, const std::string& name);
+
+// Compiles an expression / condition onto slots: `names` maps slot ->
+// variable name, and a variable it does not hold compiles to slot -1,
+// which fails evaluation with "unbound variable in expression: <name>".
+SlotExpr CompileSlotExpr(const Expr& expr,
+                         const std::vector<std::string>& names);
+SlotCondition CompileSlotCondition(const Condition& condition,
+                                   const std::vector<std::string>& names);
+
+// Evaluates a compiled expression / condition over a slot array: operands
+// left to right, then ApplyArithmetic / ApplyComparison, whose messages
+// name the failing expression. The one evaluator of rule expressions — the
+// chase, the query pass and the explainer all run on it.
 Result<Value> EvalSlotExpr(const SlotExpr& expr, const Value* slots);
 Result<bool> EvalSlotCondition(const SlotCondition& condition,
                                const Value* slots);
@@ -90,7 +103,7 @@ Result<bool> EvalSlotCondition(const SlotCondition& condition,
 // logical split of conditions around the aggregate, the aggregation keys,
 // the existential head variables, per-rule metric instruments — and, after
 // CompileMatchPlan, the slot-indexed match program the enumerator executes
-// instead of walking Atom/Term/Binding strings.
+// instead of walking Atom/Term strings.
 struct RulePlan {
   const Rule* rule = nullptr;
   int index = 0;
@@ -112,9 +125,7 @@ struct RulePlan {
   obs::Counter* duplicates_counter = nullptr;  // emissions already present
 
   // Compiled match plan (CompileMatchPlan). Body variables map to dense
-  // slots in first-occurrence order across the body atoms — exactly the
-  // order MatchAtom's Bind() appended them, so a Binding materialized from
-  // the slots is byte-identical to the one the string-keyed matcher built.
+  // slots in first-occurrence order across the body atoms, left to right.
   std::vector<AtomPlan> body;
   std::vector<std::string> slot_names;  // slot -> variable name
   Symbol head_predicate = kInvalidSymbol;
@@ -123,10 +134,10 @@ struct RulePlan {
   // Compiled apply side (CompileMatchPlan). One slot array carries a match
   // from the body to the head: the body slots above, then the assignment
   // variables, then the aggregate result, then the existential head
-  // variables in first-occurrence order — the entry order of every binding
-  // stored on a node, which checkpoints and explanations depend on.
-  // `binding_names` materializes that Binding (Binding::AssignSlots); the
-  // chase does so only for a node or alternative the graph keeps.
+  // variables in first-occurrence order. A derivation the graph keeps
+  // stores these slots' values (Derivation::values) and the graph's
+  // RuleTable stores `binding_names` once per rule; checkpoints and
+  // explanations depend on the order.
   std::vector<std::string> binding_names;  // slot -> variable name
   // Slots [0, num_eval_slots) hold a filtered match before its head is
   // applied: body plus assignment variables.
@@ -166,6 +177,11 @@ RulePlan MakeRulePlan(const Rule& rule, int index);
 // is frozen.
 void CompileMatchPlan(RulePlan* plan, SymbolTable* symbols);
 void CompileMatchPlan(RulePlan* plan, const SymbolTable& symbols);
+
+// Compiles every rule of `program`, in rule order, for reading the slot
+// values of stored derivations rather than for matching: against an empty
+// symbol table, so no predicate resolves. `program` must outlive the plans.
+std::vector<RulePlan> CompileProgramPlans(const Program& program);
 
 // Looks the negated atoms' predicates up again. Negation never interns: a
 // predicate that only ever occurs negated holds no fact, and interning it

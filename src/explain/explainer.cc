@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/string_util.h"
-#include "engine/fact_store.h"
 #include "explain/enhancer.h"
 #include "explain/template_generator.h"
 #include "obs/stage.h"
@@ -13,21 +12,35 @@ namespace templex {
 
 namespace {
 
-// Recovers the variable binding of one aggregation contribution by
-// re-matching the rule's body atoms against the contribution's parent
-// facts (which are stored in body-atom order).
-Binding ContributionBinding(const Rule& rule, const AggregateContribution& c,
-                            const ChaseGraph& graph) {
-  Binding binding;
-  const size_t n = std::min(rule.body.size(), c.parents.size());
-  for (size_t i = 0; i < n; ++i) {
-    MatchAtom(rule.body[i], graph.node(c.parents[i]).fact, &binding);
+// The slot values of the match behind one contribution to `step`, an
+// aggregation: the step's values with the eval slots (body and assignment
+// variables) rebuilt from the contribution's parent facts — stored in
+// body-atom order — through the rule's atom plans, then its assignments.
+// A slot that cannot be rebuilt keeps the step's value: the aggregate
+// result, an existential, an assignment that fails to evaluate, or every
+// slot when the parents do not fit the body.
+std::vector<Value> ContributionSlots(const RulePlan& plan,
+                                     const Derivation& step,
+                                     const AggregateContribution& c,
+                                     const ChaseGraph& graph) {
+  std::vector<Value> slots = step.values;
+  if (slots.size() != plan.binding_names.size() ||
+      c.parents.size() < plan.body.size()) {
+    return slots;
   }
-  for (const Assignment& a : rule.assignments) {
-    Result<Value> v = a.expr->Eval(binding);
-    if (v.ok()) binding.Set(a.variable, std::move(v).value());
+  for (size_t i = 0; i < plan.body.size(); ++i) {
+    const std::vector<Value>& args = graph.node(c.parents[i]).fact.args;
+    if (args.size() != plan.body[i].terms.size()) return step.values;
+    for (size_t pos = 0; pos < args.size(); ++pos) {
+      const TermPlan& term = plan.body[i].terms[pos];
+      if (term.binds) slots[static_cast<size_t>(term.slot)] = args[pos];
+    }
   }
-  return binding;
+  for (const SlotAssignment& a : plan.assignments) {
+    Result<Value> v = EvalSlotExpr(a.expr, slots.data());
+    if (v.ok()) slots[static_cast<size_t>(a.slot)] = std::move(v).value();
+  }
+  return slots;
 }
 
 // Joins formatted values into "a", "a and b", or "a, b and c", collapsing
@@ -241,17 +254,20 @@ Result<std::string> Explainer::RenderUnit(const Proof& proof,
                               segment.rule_label +
                               "' aligned to no chase step");
     }
-    const Rule* rule = program_.FindRule(segment.rule_label);
-    if (rule == nullptr) {
+    const int rule_index = program_.RuleIndex(segment.rule_label);
+    if (rule_index < 0) {
       return Status::Internal("unknown rule '" + segment.rule_label + "'");
     }
-    // Per-contribution bindings for multi-aggregation segments: tokens of
-    // body variables expand to one value per contributor.
-    std::vector<Binding> contribution_bindings;
+    const RulePlan& plan =
+        verbalizer_->plans()[static_cast<size_t>(rule_index)];
+    // Per-contribution slots for multi-aggregation segments: tokens of
+    // body variables expand to one value per contributor; the others
+    // repeat the step's value, which JoinValues collapses.
+    std::vector<std::vector<Value>> contributions;
     if (segment.multi_aggregation && steps.size() == 1) {
-      for (const AggregateContribution& c :
-           proof.derivation(steps.front()).contributions) {
-        contribution_bindings.push_back(ContributionBinding(*rule, c, graph));
+      const Derivation& step = proof.derivation(steps.front());
+      for (const AggregateContribution& c : step.contributions) {
+        contributions.push_back(ContributionSlots(plan, step, c, graph));
       }
     }
     std::string sentence = segment.effective_text();
@@ -261,24 +277,17 @@ Result<std::string> Explainer::RenderUnit(const Proof& proof,
       sentence = segment.text;
     }
     for (const TemplateToken& token : segment.tokens) {
+      const int slot = FindSlot(plan.binding_names, token.variable);
       std::vector<std::string> values;
-      if (!contribution_bindings.empty()) {
-        for (const Binding& cb : contribution_bindings) {
-          std::optional<Value> v = cb.Get(token.variable);
-          if (v.has_value()) {
-            values.push_back(
-                DomainGlossary::FormatValue(*v, token.style));
-          }
+      auto add_value = [&](const std::vector<Value>& slots) {
+        if (slot >= 0 && static_cast<size_t>(slot) < slots.size()) {
+          values.push_back(
+              DomainGlossary::FormatValue(slots[slot], token.style));
         }
-      }
-      if (values.empty()) {
-        for (FactId step : steps) {
-          std::optional<Value> v =
-              proof.derivation(step).binding.Get(token.variable);
-          if (v.has_value()) {
-            values.push_back(DomainGlossary::FormatValue(*v, token.style));
-          }
-        }
+      };
+      for (const std::vector<Value>& slots : contributions) add_value(slots);
+      if (contributions.empty()) {
+        for (FactId step : steps) add_value(proof.derivation(step).values);
       }
       if (values.empty()) {
         return Status::Internal("token <" + token.variable +

@@ -20,7 +20,8 @@ std::map<std::string, std::vector<FactId>> GroupByRule(
     const Proof& proof, const std::vector<FactId>& steps) {
   std::map<std::string, std::vector<FactId>> groups;
   for (FactId id : steps) {
-    groups[proof.derivation(id).rule_label].push_back(id);
+    groups[proof.graph().RuleLabel(proof.derivation(id).rule_index)]
+        .push_back(id);
   }
   return groups;
 }
@@ -115,7 +116,7 @@ const ExplanationTemplate* ChaseMapper::MatchSteps(
   for (FactId id : steps) {
     const Derivation& derivation = proof.derivation(id);
     if (derivation.contributions.size() > 1) {
-      multi_rules.insert(derivation.rule_label);
+      multi_rules.insert(proof.graph().RuleLabel(derivation.rule_index));
     }
   }
   const ExplanationTemplate* base_match = nullptr;

@@ -66,7 +66,7 @@ Result<std::string> ReportBuilder::Build() const {
       doc += "No constraint violations detected.\n";
     } else {
       for (const ConstraintViolation& violation : chase_->violations) {
-        doc += "- `" + violation.rule_label + "`";
+        doc += "- `" + chase_->graph.RuleLabel(violation.rule_index) + "`";
         // Name the facts of the violating match where the glossary can.
         std::vector<std::string> described;
         for (FactId id : violation.facts) {

@@ -53,6 +53,27 @@ std::string ExprToText(const Expr& expr, NumberStyle style) {
   return ExprToText(expr.lhs(), style) + op_text + ExprToText(expr.rhs(), style);
 }
 
+// `var`'s style in `styles`; plain when it has none.
+NumberStyle StyleOf(const std::map<std::string, NumberStyle>& styles,
+                    const std::string& var) {
+  auto it = styles.find(var);
+  return it == styles.end() ? NumberStyle::kPlain : it->second;
+}
+
+// The style a condition side is formatted in: its own when it is a bare
+// variable, else that of a bare-variable other side — so "s > 0.5" over
+// percent-styled s reads "... is higher than 50%".
+NumberStyle SideStyle(const std::map<std::string, NumberStyle>& styles,
+                      const Expr& side, const Expr& other) {
+  if (side.is_variable_leaf()) {
+    return StyleOf(styles, side.term().variable_name());
+  }
+  if (other.is_variable_leaf()) {
+    return StyleOf(styles, other.term().variable_name());
+  }
+  return NumberStyle::kPlain;
+}
+
 }  // namespace
 
 std::string ComparatorToText(Comparator cmp) {
@@ -89,29 +110,34 @@ std::string AggregateFunctionToText(AggregateFunction fn) {
   return "aggregate";
 }
 
+Verbalizer::Verbalizer(const Program* program, const DomainGlossary* glossary)
+    : glossary_(glossary),
+      plans_(CompileProgramPlans(*program)) {
+  conditions_.reserve(plans_.size());
+  for (const RulePlan& plan : plans_) {
+    std::vector<SlotCondition>& compiled = conditions_.emplace_back();
+    for (const Condition& condition : plan.rule->conditions) {
+      compiled.push_back(CompileSlotCondition(condition, plan.binding_names));
+    }
+  }
+}
+
 std::map<std::string, NumberStyle> Verbalizer::RuleVariableStyles(
     const Rule& rule) const {
   std::map<std::string, NumberStyle> styles;
   auto merge_atom = [this, &styles](const Atom& atom) {
     for (const auto& [var, style] : glossary_->VariableStyles(atom)) {
       // Prefer a non-plain style when positions disagree.
-      auto it = styles.find(var);
-      if (it == styles.end() || it->second == NumberStyle::kPlain) {
-        styles[var] = style;
-      }
+      if (StyleOf(styles, var) == NumberStyle::kPlain) styles[var] = style;
     }
   };
   for (const Atom& atom : rule.body) merge_atom(atom);
   merge_atom(rule.head);
   // The aggregate result inherits the input variable's style.
   if (rule.has_aggregate()) {
-    auto it = styles.find(rule.aggregate->input_variable);
-    NumberStyle input_style =
-        it == styles.end() ? NumberStyle::kPlain : it->second;
-    auto result_it = styles.find(rule.aggregate->result_variable);
-    if (result_it == styles.end() ||
-        result_it->second == NumberStyle::kPlain) {
-      styles[rule.aggregate->result_variable] = input_style;
+    const std::string& result = rule.aggregate->result_variable;
+    if (StyleOf(styles, result) == NumberStyle::kPlain) {
+      styles[result] = StyleOf(styles, rule.aggregate->input_variable);
     }
   }
   // Assigned variables inherit the style of the first styled variable in
@@ -120,11 +146,8 @@ std::map<std::string, NumberStyle> Verbalizer::RuleVariableStyles(
     if (styles.count(a.variable) > 0) continue;
     NumberStyle style = NumberStyle::kPlain;
     for (const std::string& v : a.expr->VariableNames()) {
-      auto it = styles.find(v);
-      if (it != styles.end() && it->second != NumberStyle::kPlain) {
-        style = it->second;
-        break;
-      }
+      style = StyleOf(styles, v);
+      if (style != NumberStyle::kPlain) break;
     }
     styles[a.variable] = style;
   }
@@ -134,20 +157,8 @@ std::map<std::string, NumberStyle> Verbalizer::RuleVariableStyles(
 Result<TemplateSegment> Verbalizer::VerbalizeRule(
     const Rule& rule, bool multi_aggregation) const {
   std::map<std::string, NumberStyle> styles = RuleVariableStyles(rule);
-  auto style_of = [&styles](const std::string& var) {
-    auto it = styles.find(var);
-    return it == styles.end() ? NumberStyle::kPlain : it->second;
-  };
-  auto side_text = [&style_of](const Expr& expr,
-                               const Expr& other) -> std::string {
-    // A constant side borrows the style of a bare-variable other side, so
-    // "s > 0.5" over percent-styled s verbalizes as "... is higher than
-    // 50%".
-    NumberStyle style = NumberStyle::kPlain;
-    if (other.is_variable_leaf()) {
-      style = style_of(other.term().variable_name());
-    }
-    return ExprToText(expr, style);
+  auto side_text = [&styles](const Expr& expr, const Expr& other) {
+    return ExprToText(expr, SideStyle(styles, expr, other));
   };
 
   std::vector<std::string> clauses;
@@ -163,7 +174,7 @@ Result<TemplateSegment> Verbalizer::VerbalizeRule(
   }
   for (const Assignment& a : rule.assignments) {
     clauses.push_back("<" + a.variable + "> is " +
-                      ExprToText(*a.expr, style_of(a.variable)));
+                      ExprToText(*a.expr, StyleOf(styles, a.variable)));
   }
   if (rule.has_aggregate() && multi_aggregation) {
     const Aggregate& agg = *rule.aggregate;
@@ -188,7 +199,7 @@ Result<TemplateSegment> Verbalizer::VerbalizeRule(
   segment.text = "Since " + Join(clauses, ", and ") + ", then " +
                  head_text.value() + ".";
   for (const std::string& name : ExtractTokenNames(segment.text)) {
-    segment.tokens.push_back(TemplateToken{name, style_of(name)});
+    segment.tokens.push_back(TemplateToken{name, StyleOf(styles, name)});
   }
   return segment;
 }
@@ -202,18 +213,22 @@ Result<std::string> Verbalizer::VerbalizeStep(
                                    "a chase step: " +
                                    node.fact.ToString());
   }
-  const std::vector<Rule>& rules = program_->rules();
-  if (static_cast<size_t>(derivation.rule_index) >= rules.size()) {
-    return Status::Internal("rule not found: " + derivation.rule_label +
+  const auto rule_index = static_cast<size_t>(derivation.rule_index);
+  if (rule_index >= plans_.size()) {
+    return Status::Internal("rule not found: " +
+                            graph.RuleLabel(derivation.rule_index) +
                             " (index " +
                             std::to_string(derivation.rule_index) + ")");
   }
-  const Rule* rule = &rules[derivation.rule_index];
-  std::map<std::string, NumberStyle> styles = RuleVariableStyles(*rule);
-  auto style_of = [&styles](const std::string& var) {
-    auto it = styles.find(var);
-    return it == styles.end() ? NumberStyle::kPlain : it->second;
+  const RulePlan& plan = plans_[rule_index];
+  const Rule* rule = plan.rule;
+  // A slot's value, or Null past the derivation's values.
+  auto value_at = [&derivation](int slot) {
+    return slot >= 0 && static_cast<size_t>(slot) < derivation.values.size()
+               ? derivation.values[static_cast<size_t>(slot)]
+               : Value::Null();
   };
+  std::map<std::string, NumberStyle> styles = RuleVariableStyles(*rule);
   std::vector<std::string> clauses;
   for (FactId parent : derivation.parents) {
     Result<std::string> text =
@@ -223,16 +238,12 @@ Result<std::string> Verbalizer::VerbalizeStep(
   }
   // Ground negated atoms ("and it is not the case that X owns ..."): all
   // their variables are bound by the positive body.
-  for (const Atom& atom : rule->negative_body) {
+  for (size_t i = 0; i < plan.negative_body.size(); ++i) {
     Fact absent;
-    absent.predicate = atom.predicate;
-    for (const Term& term : atom.terms) {
-      if (term.is_constant()) {
-        absent.args.push_back(term.constant_value());
-      } else {
-        absent.args.push_back(derivation.binding.Get(term.variable_name())
-                                  .value_or(Value::Null()));
-      }
+    absent.predicate = rule->negative_body[i].predicate;
+    for (const TermPlan& term : plan.negative_body[i].terms) {
+      absent.args.push_back(term.is_constant ? term.constant
+                                             : value_at(term.slot));
     }
     Result<std::string> text = glossary_->VerbalizeFact(absent);
     if (!text.ok()) return text.status();
@@ -241,39 +252,40 @@ Result<std::string> Verbalizer::VerbalizeStep(
   // Multi-contributor aggregations get the explicit "given by the sum of"
   // clause; single-contributor ones are explained as plain rules.
   if (rule->has_aggregate() && derivation.contributions.size() > 1) {
-    NumberStyle input_style = style_of(rule->aggregate->input_variable);
-    std::optional<Value> result =
-        derivation.binding.Get(rule->aggregate->result_variable);
+    NumberStyle input_style =
+        StyleOf(styles, rule->aggregate->input_variable);
     std::vector<std::string> inputs;
     for (const AggregateContribution& c : derivation.contributions) {
       inputs.push_back(DomainGlossary::FormatValue(c.input, input_style));
     }
     clauses.push_back(
         "with " +
-        DomainGlossary::FormatValue(result.value_or(Value::Null()),
+        DomainGlossary::FormatValue(value_at(plan.result_slot),
                                     input_style) +
         " given by the " + AggregateFunctionToText(rule->aggregate->function) +
         " of " + JoinWithConjunction(inputs, ", ", " and "));
   }
   // Ground condition clauses ("and 83% is higher than 50%") — the paper's
   // deterministic explanations spell them out, see Figure 15.
-  for (const Condition& condition : rule->conditions) {
-    auto ground_side = [&derivation, &style_of](
-                           const Expr& side,
+  // A side that does not evaluate stays symbolic. Values short of the
+  // rule's slots (a hand-built derivation) leave every side symbolic.
+  const bool all_slots =
+      derivation.values.size() == plan.binding_names.size();
+  for (const SlotCondition& condition : conditions_[rule_index]) {
+    auto ground_side = [&derivation, &styles, all_slots](
+                           const SlotExpr& compiled, const Expr& side,
                            const Expr& other) -> std::string {
-      NumberStyle style = NumberStyle::kPlain;
-      if (side.is_variable_leaf()) {
-        style = style_of(side.term().variable_name());
-      } else if (other.is_variable_leaf()) {
-        style = style_of(other.term().variable_name());
-      }
-      Result<Value> value = side.Eval(derivation.binding);
+      if (!all_slots) return side.ToString();
+      Result<Value> value = EvalSlotExpr(compiled, derivation.values.data());
       if (!value.ok()) return side.ToString();
-      return DomainGlossary::FormatValue(value.value(), style);
+      return DomainGlossary::FormatValue(value.value(),
+                                         SideStyle(styles, side, other));
     };
-    clauses.push_back(ground_side(*condition.lhs, *condition.rhs) + " " +
-                      ComparatorToText(condition.cmp) + " " +
-                      ground_side(*condition.rhs, *condition.lhs));
+    const Condition& source = *condition.source;
+    clauses.push_back(
+        ground_side(condition.lhs, *source.lhs, *source.rhs) + " " +
+        ComparatorToText(source.cmp) + " " +
+        ground_side(condition.rhs, *source.rhs, *source.lhs));
   }
   Result<std::string> head_text = glossary_->VerbalizeFact(node.fact);
   if (!head_text.ok()) return head_text.status();

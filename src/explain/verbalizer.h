@@ -3,10 +3,12 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "datalog/program.h"
 #include "engine/proof.h"
+#include "engine/rule_plan.h"
 #include "explain/glossary.h"
 #include "explain/template.h"
 
@@ -21,8 +23,8 @@ namespace templex {
 //    an actual instance (the input the LLM baselines paraphrase/summarize).
 class Verbalizer {
  public:
-  Verbalizer(const Program* program, const DomainGlossary* glossary)
-      : program_(program), glossary_(glossary) {}
+  // `program` and `glossary` must outlive the verbalizer.
+  Verbalizer(const Program* program, const DomainGlossary* glossary);
 
   // Verbalizes one rule into a template segment. When `multi_aggregation`
   // is true the rule's aggregation is verbalized with a contributor list
@@ -33,7 +35,8 @@ class Verbalizer {
 
   // Verbalizes one intensional chase step into a ground sentence: node
   // `step` of `graph` as derived by `derivation` (a proof's
-  // Proof::derivation, or the node's primary derivation).
+  // Proof::derivation, or the node's primary derivation). The derivation's
+  // values are read by slot, through plans().
   Result<std::string> VerbalizeStep(const ChaseGraph& graph, FactId step,
                                     const Derivation& derivation) const;
 
@@ -47,9 +50,16 @@ class Verbalizer {
   std::map<std::string, NumberStyle> RuleVariableStyles(
       const Rule& rule) const;
 
+  // The program's rules compiled once (CompileProgramPlans): the slot
+  // layout of every derivation a rule stores, by rule index.
+  const std::vector<RulePlan>& plans() const { return plans_; }
+
  private:
-  const Program* program_;
   const DomainGlossary* glossary_;
+  std::vector<RulePlan> plans_;
+  // Per rule, its conditions in rule order compiled onto the binding slots,
+  // for grounding condition clauses.
+  std::vector<std::vector<SlotCondition>> conditions_;
 };
 
 // Natural-language rendering of a comparator ("is higher than").

@@ -144,7 +144,7 @@ class ByteReader {
 };
 
 // ---------------------------------------------------------------------------
-// Domain serialization (Value, Binding, Derivation, ChaseNode, ...)
+// Domain serialization (Value, Derivation, ChaseNode, ...)
 
 void WriteValue(ByteWriter& w, const Value& v) {
   switch (v.kind()) {
@@ -215,26 +215,6 @@ bool ReadValues(ByteReader& r, std::vector<Value>* out) {
   return true;
 }
 
-void WriteBinding(ByteWriter& w, const Binding& binding) {
-  w.U32(static_cast<uint32_t>(binding.entries().size()));
-  for (const auto& [name, value] : binding.entries()) {
-    w.Str(name);
-    WriteValue(w, value);
-  }
-}
-
-bool ReadBinding(ByteReader& r, Binding* out) {
-  const uint32_t n = r.U32();
-  if (!r.FitCount(n, 5)) return false;
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string name = r.Str();
-    Value value;
-    if (!ReadValue(r, &value)) return false;
-    out->Set(name, value);
-  }
-  return r.ok();
-}
-
 void WriteParents(ByteWriter& w, const std::vector<FactId>& parents) {
   w.U32(static_cast<uint32_t>(parents.size()));
   for (FactId id : parents) w.I32(id);
@@ -268,19 +248,19 @@ bool ReadContributions(ByteReader& r, std::vector<AggregateContribution>* out) {
   return true;
 }
 
-// A primary derivation or an alternative: rule index, homomorphism,
-// parents, contributions. Rule labels are re-derived from the program at
-// restore (the config hash pins the program text).
+// A primary derivation or an alternative: rule index, binding slot values,
+// parents, contributions. Rule labels and variable names are re-derived
+// from the program at restore (the config hash pins the program text).
 void WriteDerivation(ByteWriter& w, const Derivation& d) {
   w.I32(d.rule_index);
-  WriteBinding(w, d.binding);
+  WriteValues(w, d.values);
   WriteParents(w, d.parents);
   WriteContributions(w, d.contributions);
 }
 
 bool ReadDerivation(ByteReader& r, Derivation* out) {
   out->rule_index = r.I32();
-  return ReadBinding(r, &out->binding) && ReadParents(r, &out->parents) &&
+  return ReadValues(r, &out->values) && ReadParents(r, &out->parents) &&
          ReadContributions(r, &out->contributions);
 }
 

@@ -87,8 +87,9 @@ struct CheckpointDelta {
   std::vector<AggregateEntryRecord> aggregates;
 };
 
-// Full resumable chase state. Rule labels are not stored — the config hash
-// pins the program, so the engine re-derives them from rule_index.
+// Full resumable chase state. Rule labels and binding variable names are
+// not stored — the config hash pins the program, so the engine re-derives
+// them from rule_index.
 struct ChaseCheckpoint {
   uint64_t config_hash = 0;
   std::vector<std::string> symbols;  // SymbolTable in id order
@@ -168,7 +169,9 @@ class CheckpointStore {
 // v5: same layout, but the chase no longer records an aggregate rule's
 // re-emission as an alternative, so a v4 snapshot's alternatives are not
 // the ones a resumed run would keep.
-inline constexpr uint32_t kCheckpointFormatVersion = 5;
+// v6: a derivation record stores its binding slot values without their
+// variable names, which restore takes from the program by rule index.
+inline constexpr uint32_t kCheckpointFormatVersion = 6;
 
 }  // namespace templex
 

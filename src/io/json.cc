@@ -132,8 +132,9 @@ JsonWriter& JsonWriter::TemplexValue(const Value& value) {
 namespace {
 
 // The "rule" and "parents" members every derivation carries.
-void WriteRuleAndParents(JsonWriter& json, const Derivation& derivation) {
-  json.Key("rule").String(derivation.rule_label);
+void WriteRuleAndParents(JsonWriter& json, const ChaseGraph& graph,
+                         const Derivation& derivation) {
+  json.Key("rule").String(graph.RuleLabel(derivation.rule_index));
   json.Key("parents").BeginArray();
   for (FactId parent : derivation.parents) json.Int(parent);
   json.EndArray();
@@ -151,7 +152,7 @@ void WriteFactNode(JsonWriter& json, const ChaseGraph& graph, FactId id,
   for (const Value& arg : node.fact.args) json.TemplexValue(arg);
   json.EndArray();
   if (!derivation.is_extensional()) {
-    WriteRuleAndParents(json, derivation);
+    WriteRuleAndParents(json, graph, derivation);
     if (!derivation.contributions.empty()) {
       json.Key("contributions").BeginArray();
       for (const AggregateContribution& c : derivation.contributions) {
@@ -170,7 +171,7 @@ void WriteFactNode(JsonWriter& json, const ChaseGraph& graph, FactId id,
       json.Key("alternatives").BeginArray();
       for (const Derivation& alt : node.alternatives) {
         json.BeginObject();
-        WriteRuleAndParents(json, alt);
+        WriteRuleAndParents(json, graph, alt);
         json.EndObject();
       }
       json.EndArray();

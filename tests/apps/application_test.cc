@@ -112,7 +112,9 @@ c1: Own(x, y, s), s > 1 -> !.
   app.value()->AddFacts({{"Own", {S("A"), S("B"), D(1.4)}}});
   ASSERT_TRUE(app.value()->Run().ok());
   ASSERT_EQ(app.value()->violations().size(), 1u);
-  EXPECT_EQ(app.value()->violations()[0].rule_label, "c1");
+  EXPECT_EQ(app.value()->chase().graph.RuleLabel(
+                app.value()->violations()[0].rule_index),
+            "c1");
 }
 
 TEST(ApplicationTest, JsonExports) {

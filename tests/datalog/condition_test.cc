@@ -2,71 +2,90 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/rule_plan.h"
+
 namespace templex {
 namespace {
 
-Binding MakeBinding(std::initializer_list<std::pair<const char*, Value>> kv) {
-  Binding binding;
-  for (const auto& [name, value] : kv) binding.Set(name, value);
-  return binding;
+// Variables and their values: the names compile an expression onto slots
+// (CompileSlotExpr), the values are the slot array it evaluates over.
+struct Slots {
+  std::vector<std::string> names;
+  std::vector<Value> values;
+};
+
+Slots MakeSlots(std::initializer_list<std::pair<const char*, Value>> kv) {
+  Slots slots;
+  for (const auto& [name, value] : kv) {
+    slots.names.push_back(name);
+    slots.values.push_back(value);
+  }
+  return slots;
+}
+
+Result<Value> Eval(const Expr& expr, const Slots& slots) {
+  return EvalSlotExpr(CompileSlotExpr(expr, slots.names),
+                      slots.values.data());
+}
+
+Result<bool> Eval(const Condition& condition, const Slots& slots) {
+  return EvalSlotCondition(CompileSlotCondition(condition, slots.names),
+                           slots.values.data());
 }
 
 TEST(ExprTest, ConstantEval) {
   auto e = Expr::Constant(Value::Int(7));
-  Binding empty;
-  ASSERT_TRUE(e->Eval(empty).ok());
-  EXPECT_EQ(e->Eval(empty).value(), Value::Int(7));
+  Slots empty;
+  ASSERT_TRUE(Eval(*e, empty).ok());
+  EXPECT_EQ(Eval(*e, empty).value(), Value::Int(7));
 }
 
 TEST(ExprTest, VariableEval) {
   auto e = Expr::Variable("x");
-  Binding binding = MakeBinding({{"x", Value::Double(0.5)}});
-  EXPECT_EQ(e->Eval(binding).value(), Value::Double(0.5));
-}
-
-TEST(ExprTest, UnboundVariableErrors) {
-  auto e = Expr::Variable("x");
-  Binding empty;
-  EXPECT_EQ(e->Eval(empty).status().code(), StatusCode::kInvalidArgument);
+  Slots slots = MakeSlots({{"x", Value::Double(0.5)}});
+  EXPECT_EQ(Eval(*e, slots).value(), Value::Double(0.5));
 }
 
 TEST(ExprTest, Arithmetic) {
-  Binding binding =
-      MakeBinding({{"a", Value::Double(6)}, {"b", Value::Double(2)}});
+  Slots slots = MakeSlots({{"a", Value::Double(6)}, {"b", Value::Double(2)}});
   auto mk = [](Expr::Op op) {
     return Expr::Binary(op, Expr::Variable("a"), Expr::Variable("b"));
   };
-  EXPECT_EQ(mk(Expr::Op::kAdd)->Eval(binding).value(), Value::Double(8));
-  EXPECT_EQ(mk(Expr::Op::kSub)->Eval(binding).value(), Value::Double(4));
-  EXPECT_EQ(mk(Expr::Op::kMul)->Eval(binding).value(), Value::Double(12));
-  EXPECT_EQ(mk(Expr::Op::kDiv)->Eval(binding).value(), Value::Double(3));
+  EXPECT_EQ(Eval(*mk(Expr::Op::kAdd), slots).value(), Value::Double(8));
+  EXPECT_EQ(Eval(*mk(Expr::Op::kSub), slots).value(), Value::Double(4));
+  EXPECT_EQ(Eval(*mk(Expr::Op::kMul), slots).value(), Value::Double(12));
+  EXPECT_EQ(Eval(*mk(Expr::Op::kDiv), slots).value(), Value::Double(3));
 }
 
 TEST(ExprTest, DivisionByZeroErrors) {
-  Binding binding =
-      MakeBinding({{"a", Value::Int(1)}, {"b", Value::Int(0)}});
+  Slots slots = MakeSlots({{"a", Value::Int(1)}, {"b", Value::Int(0)}});
   auto e = Expr::Binary(Expr::Op::kDiv, Expr::Variable("a"),
                         Expr::Variable("b"));
-  EXPECT_FALSE(e->Eval(binding).ok());
+  Result<Value> value = Eval(*e, slots);
+  ASSERT_FALSE(value.ok());
+  EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(value.status().message(), "division by zero in (a / b)");
 }
 
 TEST(ExprTest, NonNumericArithmeticErrors) {
-  Binding binding = MakeBinding(
-      {{"a", Value::String("x")}, {"b", Value::Int(1)}});
+  Slots slots = MakeSlots({{"a", Value::String("x")}, {"b", Value::Int(1)}});
   auto e = Expr::Binary(Expr::Op::kAdd, Expr::Variable("a"),
                         Expr::Variable("b"));
-  EXPECT_EQ(e->Eval(binding).status().code(), StatusCode::kInvalidArgument);
+  Result<Value> value = Eval(*e, slots);
+  ASSERT_FALSE(value.ok());
+  EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(value.status().message(),
+            "arithmetic over non-numeric operands in (a + b)");
 }
 
 TEST(ExprTest, NestedExpression) {
   // (a + b) * 2
-  Binding binding =
-      MakeBinding({{"a", Value::Int(3)}, {"b", Value::Int(4)}});
+  Slots slots = MakeSlots({{"a", Value::Int(3)}, {"b", Value::Int(4)}});
   auto e = Expr::Binary(
       Expr::Op::kMul,
       Expr::Binary(Expr::Op::kAdd, Expr::Variable("a"), Expr::Variable("b")),
       Expr::Constant(Value::Int(2)));
-  EXPECT_EQ(e->Eval(binding).value(), Value::Double(14));
+  EXPECT_EQ(Eval(*e, slots).value(), Value::Double(14));
   EXPECT_EQ(e->ToString(), "((a + b) * 2)");
 }
 
@@ -74,9 +93,9 @@ TEST(ExprTest, CloneIsDeep) {
   auto e = Expr::Binary(Expr::Op::kMul, Expr::Variable("s1"),
                         Expr::Variable("s2"));
   auto clone = e->Clone();
-  Binding binding = MakeBinding(
-      {{"s1", Value::Double(0.5)}, {"s2", Value::Double(0.4)}});
-  EXPECT_EQ(clone->Eval(binding).value(), Value::Double(0.2));
+  Slots slots =
+      MakeSlots({{"s1", Value::Double(0.5)}, {"s2", Value::Double(0.4)}});
+  EXPECT_EQ(Eval(*clone, slots).value(), Value::Double(0.2));
   EXPECT_EQ(clone->ToString(), e->ToString());
 }
 
@@ -91,42 +110,47 @@ TEST(ExprTest, VariableNamesDeduplicated) {
 }
 
 TEST(ConditionTest, NumericComparisons) {
-  Binding binding =
-      MakeBinding({{"s", Value::Int(6)}, {"p", Value::Int(5)}});
-  auto make = [](Comparator cmp) {
-    return Condition(Expr::Variable("s"), cmp, Expr::Variable("p"));
+  Slots slots = MakeSlots({{"s", Value::Int(6)}, {"p", Value::Int(5)}});
+  auto holds = [&slots](Comparator cmp) {
+    return Eval(Condition(Expr::Variable("s"), cmp, Expr::Variable("p")),
+                slots)
+        .value();
   };
-  EXPECT_TRUE(make(Comparator::kGt).Eval(binding).value());
-  EXPECT_TRUE(make(Comparator::kGe).Eval(binding).value());
-  EXPECT_FALSE(make(Comparator::kLt).Eval(binding).value());
-  EXPECT_FALSE(make(Comparator::kLe).Eval(binding).value());
-  EXPECT_FALSE(make(Comparator::kEq).Eval(binding).value());
-  EXPECT_TRUE(make(Comparator::kNe).Eval(binding).value());
+  EXPECT_TRUE(holds(Comparator::kGt));
+  EXPECT_TRUE(holds(Comparator::kGe));
+  EXPECT_FALSE(holds(Comparator::kLt));
+  EXPECT_FALSE(holds(Comparator::kLe));
+  EXPECT_FALSE(holds(Comparator::kEq));
+  EXPECT_TRUE(holds(Comparator::kNe));
 }
 
 TEST(ConditionTest, StringEquality) {
-  Binding binding = MakeBinding(
+  Slots slots = MakeSlots(
       {{"t", Value::String("long")}, {"u", Value::String("short")}});
   Condition eq(Expr::Variable("t"), Comparator::kEq,
                Expr::Constant(Value::String("long")));
-  EXPECT_TRUE(eq.Eval(binding).value());
+  EXPECT_TRUE(Eval(eq, slots).value());
   Condition ne(Expr::Variable("t"), Comparator::kNe, Expr::Variable("u"));
-  EXPECT_TRUE(ne.Eval(binding).value());
+  EXPECT_TRUE(Eval(ne, slots).value());
 }
 
 TEST(ConditionTest, OrderedStringComparisonErrors) {
-  Binding binding = MakeBinding({{"t", Value::String("long")}});
+  Slots slots = MakeSlots({{"t", Value::String("long")}});
   Condition lt(Expr::Variable("t"), Comparator::kLt,
                Expr::Constant(Value::Int(1)));
-  EXPECT_FALSE(lt.Eval(binding).ok());
+  Result<bool> held = Eval(lt, slots);
+  ASSERT_FALSE(held.ok());
+  EXPECT_EQ(held.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(held.status().message(),
+            "ordered comparison over non-numerics in t < 1");
 }
 
 TEST(ConditionTest, CopySemantics) {
   Condition original(Expr::Variable("a"), Comparator::kGt,
                      Expr::Constant(Value::Int(0)));
   Condition copy = original;
-  Binding binding = MakeBinding({{"a", Value::Int(1)}});
-  EXPECT_TRUE(copy.Eval(binding).value());
+  Slots slots = MakeSlots({{"a", Value::Int(1)}});
+  EXPECT_TRUE(Eval(copy, slots).value());
   EXPECT_EQ(copy.ToString(), "a > 0");
 }
 

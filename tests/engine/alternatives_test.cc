@@ -62,11 +62,12 @@ TEST(AlternativesTest, DualDerivationRecorded) {
   auto chase = ChaseEngine().Run(CompanyControlProgram(), DualControlEdb());
   ASSERT_TRUE(chase.ok()) << chase.status().ToString();
   FactId id = chase.value().Find({"Control", {S("A"), S("C")}}).value();
-  const ChaseNode& node = chase.value().graph.node(id);
+  const ChaseGraph& graph = chase.value().graph;
+  const ChaseNode& node = graph.node(id);
   // Primary via the direct-majority rule plus at least one σ3 story.
-  std::set<std::string> rules = {node.derivation.rule_label};
+  std::set<std::string> rules = {graph.RuleLabel(node.derivation.rule_index)};
   for (const Derivation& alt : node.alternatives) {
-    rules.insert(alt.rule_label);
+    rules.insert(graph.RuleLabel(alt.rule_index));
   }
   EXPECT_TRUE(rules.count("sigma1") > 0);
   EXPECT_TRUE(rules.count("sigma3") > 0);
@@ -259,10 +260,11 @@ TEST(AlternativesTest, AggregateReemissionsAreNotNewStories) {
       int mixed = 0;
       for (FactId id = 0; id < graph.size(); ++id) {
         const ChaseNode& node = graph.node(id);
-        std::set<std::string> rules = {node.derivation.rule_label};
+        std::set<std::string> rules = {
+            graph.RuleLabel(node.derivation.rule_index)};
         for (size_t i = 0; i < node.alternatives.size(); ++i) {
           const Derivation& alt = node.alternatives[i];
-          rules.insert(alt.rule_label);
+          rules.insert(graph.RuleLabel(alt.rule_index));
           if (!program.rules()[alt.rule_index].has_aggregate()) continue;
           for (size_t k = 0; k <= i; ++k) {
             const Derivation& known =
@@ -282,9 +284,10 @@ TEST(AlternativesTest, AggregateReemissionsAreNotNewStories) {
         const ChaseNode& dual =
             graph.node(chase.value().Find({"Control", {S("A"), S("C")}})
                            .value());
-        std::set<std::string> dual_rules = {dual.derivation.rule_label};
+        std::set<std::string> dual_rules = {
+            graph.RuleLabel(dual.derivation.rule_index)};
         for (const Derivation& alt : dual.alternatives) {
-          dual_rules.insert(alt.rule_label);
+          dual_rules.insert(graph.RuleLabel(alt.rule_index));
         }
         EXPECT_EQ(dual_rules, (std::set<std::string>{"sigma1", "sigma3"}))
             << "cap=" << cap;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "common/rng.h"
 
@@ -10,13 +11,18 @@ namespace templex {
 namespace {
 
 ChaseNode Node(const Fact& fact, std::vector<FactId> parents = {},
-               const std::string& rule = "") {
+               int rule_index = -1) {
   ChaseNode node;
   node.fact = fact;
   node.derivation.parents = std::move(parents);
-  node.derivation.rule_label = rule;
-  node.derivation.rule_index = rule.empty() ? -1 : 0;
+  node.derivation.rule_index = rule_index;
   return node;
+}
+
+// A rule table of two rules: "alpha" binds x and s, "beta" binds nothing.
+std::shared_ptr<const RuleTable> AlphaBetaRules() {
+  return std::make_shared<const RuleTable>(
+      RuleTable{{"alpha", {"x", "s"}}, {"beta", {}}});
 }
 
 TEST(ChaseGraphTest, AddAndFind) {
@@ -41,7 +47,7 @@ TEST(ChaseGraphTest, DuplicateFactNotInserted) {
 TEST(ChaseGraphTest, ExtensionalFlag) {
   ChaseGraph graph;
   graph.AddNode(Node({"P", {Value::Int(1)}}));
-  graph.AddNode(Node({"Q", {Value::Int(1)}}, {0}, "r1"));
+  graph.AddNode(Node({"Q", {Value::Int(1)}}, {0}, 0));
   EXPECT_TRUE(graph.node(0).is_extensional());
   EXPECT_FALSE(graph.node(1).is_extensional());
 }
@@ -50,8 +56,8 @@ TEST(ChaseGraphTest, AncestorClosureIsSortedAndComplete) {
   ChaseGraph graph;
   graph.AddNode(Node({"A", {}}));                 // 0
   graph.AddNode(Node({"B", {}}));                 // 1
-  graph.AddNode(Node({"C", {}}, {0, 1}, "r1"));   // 2
-  graph.AddNode(Node({"D", {}}, {2}, "r2"));      // 3
+  graph.AddNode(Node({"C", {}}, {0, 1}, 0));   // 2
+  graph.AddNode(Node({"D", {}}, {2}, 1));      // 3
   graph.AddNode(Node({"E", {}}));                 // 4 (unrelated)
   auto closure = graph.AncestorClosure(3);
   EXPECT_EQ(closure, (std::vector<FactId>{0, 1, 2, 3}));
@@ -60,9 +66,9 @@ TEST(ChaseGraphTest, AncestorClosureIsSortedAndComplete) {
 TEST(ChaseGraphTest, AncestorClosureHandlesDiamonds) {
   ChaseGraph graph;
   graph.AddNode(Node({"A", {}}));                    // 0
-  graph.AddNode(Node({"B", {}}, {0}, "r1"));         // 1
-  graph.AddNode(Node({"C", {}}, {0}, "r2"));         // 2
-  graph.AddNode(Node({"D", {}}, {1, 2}, "r3"));      // 3
+  graph.AddNode(Node({"B", {}}, {0}, 0));         // 1
+  graph.AddNode(Node({"C", {}}, {0}, 1));         // 2
+  graph.AddNode(Node({"D", {}}, {1, 2}, 2));      // 3
   auto closure = graph.AncestorClosure(3);
   EXPECT_EQ(closure.size(), 4u);  // 0 appears once
 }
@@ -78,8 +84,9 @@ TEST(ChaseGraphTest, FactsOfPredicate) {
 
 TEST(ChaseGraphTest, ToDotContainsNodesAndLabeledEdges) {
   ChaseGraph graph;
+  graph.set_rules(AlphaBetaRules());
   graph.AddNode(Node({"P", {Value::Int(1)}}));
-  graph.AddNode(Node({"Q", {Value::Int(1)}}, {0}, "alpha"));
+  graph.AddNode(Node({"Q", {Value::Int(1)}}, {0}, 0));
   std::string dot = graph.ToDot();
   EXPECT_NE(dot.find("P(1)"), std::string::npos);
   EXPECT_NE(dot.find("label=\"alpha\""), std::string::npos);
@@ -89,10 +96,29 @@ TEST(ChaseGraphTest, ToDotContainsNodesAndLabeledEdges) {
 TEST(ChaseGraphTest, ToDotRestrictedToGoal) {
   ChaseGraph graph;
   graph.AddNode(Node({"P", {Value::Int(1)}}));
-  graph.AddNode(Node({"Q", {Value::Int(1)}}, {0}, "alpha"));
+  graph.AddNode(Node({"Q", {Value::Int(1)}}, {0}, 0));
   graph.AddNode(Node({"Unrelated", {}}));
   std::string dot = graph.ToDot(1);
   EXPECT_EQ(dot.find("Unrelated"), std::string::npos);
+}
+
+// Labels and variable names come from the graph's rule table, shared by
+// its copies; an index the table does not hold reads as unnamed.
+TEST(ChaseGraphTest, RuleTableNamesDerivations) {
+  ChaseGraph graph;
+  EXPECT_EQ(graph.RuleLabel(0), "");
+  graph.set_rules(AlphaBetaRules());
+  const ChaseGraph copy = graph;
+  EXPECT_EQ(copy.RuleLabel(0), "alpha");
+  EXPECT_EQ(copy.RuleLabel(1), "beta");
+  EXPECT_EQ(copy.RuleLabel(-1), "");
+  EXPECT_EQ(copy.RuleLabel(2), "");
+  ASSERT_NE(copy.rule(0), nullptr);
+  EXPECT_EQ(copy.rule(0), graph.rule(0));  // one table, not a copy
+  EXPECT_EQ(copy.rule(2), nullptr);
+  const std::vector<Value> values = {Value::String("A"), Value::Double(0.6)};
+  EXPECT_EQ(copy.BindingToString(0, values), "{x=\"A\", s=0.6}");
+  EXPECT_EQ(copy.BindingToString(-1, {}), "{}");
 }
 
 // DependsOn's level test and level-pruned walk must answer exactly like
@@ -110,7 +136,7 @@ TEST(ChaseGraphTest, DependsOnAgreesWithAncestorClosure) {
         parents.push_back(static_cast<FactId>(rng.NextInt(0, id - 1)));
       }
     }
-    graph.AddNode(Node({"P", {Value::Int(id)}}, parents, "r"));
+    graph.AddNode(Node({"P", {Value::Int(id)}}, parents, 0));
   }
   for (FactId node = 0; node < kNodes; ++node) {
     const std::vector<FactId> closure = graph.AncestorClosure(node);
@@ -129,6 +155,15 @@ TEST(ChaseGraphTest, DependsOnAgreesWithAncestorClosure) {
 // moves a budget. The node carries a binding, parents, two contributions
 // (one string past the small-string buffer) and an alternative; the graph
 // then records a second alternative the way the chase does.
+//
+// By hand, with sizeof Value 40, Fact 64, Derivation 80,
+// AggregateContribution 64 and ChaseNode 168:
+//  - fact, past its inline Fact: 7 + (40 + 27) + (40 + 3) = 117;
+//  - primary, past its inline Derivation: values (40 + 27) + 40, parents
+//    3 * 4, contributions (64 + 4) + (64 + 26 + 8) = 285;
+//  - alternative: 80 + 40 + 4 = 124;
+//  - node: 168 + 117 + 285 + 124 = 694;
+//  - graph: 694 + 64 (index) + the later alternative 80 + 40 + 8 = 886.
 TEST(ChaseGraphTest, ApproxBytesPinned) {
   ChaseNode node;
   node.fact = {"Control",
@@ -136,20 +171,18 @@ TEST(ChaseGraphTest, ApproxBytesPinned) {
                 Value::String("bee")}};
   Derivation& primary = node.derivation;
   primary.rule_index = 2;
-  primary.rule_label = "sigma3";
-  primary.binding.Set("x", Value::String("Acme Holdings International"));
-  primary.binding.Set("s", Value::Double(0.75));
+  primary.values = {Value::String("Acme Holdings International"),
+                    Value::Double(0.75)};
   primary.parents = {0, 1, 2};
   primary.contributions = {
       {Value::Double(0.5), {0}},
       {Value::String("a contributor key past SSO"), {1, 2}}};
   Derivation alt;
   alt.rule_index = 0;
-  alt.rule_label = "sigma1";
-  alt.binding.Set("y", Value::Int(7));
+  alt.values = {Value::Int(7)};
   alt.parents = {3};
   node.alternatives.push_back(alt);
-  EXPECT_EQ(ApproxBytes(node), 869);
+  EXPECT_EQ(ApproxBytes(node), 694);
 
   ChaseGraph graph;
   graph.AddNode(node);
@@ -157,7 +190,7 @@ TEST(ChaseGraphTest, ApproxBytesPinned) {
   later.parents = {4, 5};
   graph.mutable_node(0).alternatives.push_back(later);
   graph.AddApproxBytes(ApproxBytes(later));
-  EXPECT_EQ(graph.approx_bytes(), 1132);
+  EXPECT_EQ(graph.approx_bytes(), 886);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "common/fs.h"
 #include "engine/chase.h"
 #include "explain/explainer.h"
+#include "io/checkpoint.h"
 #include "obs/metrics.h"
 
 namespace templex {
@@ -29,9 +31,11 @@ namespace {
 std::vector<std::string> GraphSignature(const ChaseResult& chase) {
   std::vector<std::string> signature;
   signature.reserve(chase.graph.size());
-  auto describe = [](std::ostringstream& out, const Derivation& d) {
-    out << "|rule=" << d.rule_index << "/" << d.rule_label
-        << "|theta=" << d.binding.ToString() << "|parents=";
+  const ChaseGraph& graph = chase.graph;
+  auto describe = [&graph](std::ostringstream& out, const Derivation& d) {
+    out << "|rule=" << d.rule_index << "/" << graph.RuleLabel(d.rule_index)
+        << "|theta=" << graph.BindingToString(d.rule_index, d.values)
+        << "|parents=";
     for (FactId parent : d.parents) out << parent << ",";
     out << "|contrib=";
     for (const AggregateContribution& c : d.contributions) {
@@ -294,6 +298,58 @@ TEST(ChaseResumeTest, ForeignEdbCheckpointIsRefused) {
   Result<ChaseResult> other = RunCheckpointed(program, ControlNetwork(10), resumed);
   ASSERT_FALSE(other.ok());
   EXPECT_EQ(other.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// A derivation record holds exactly its rule's binding slots (an
+// extensional fact none): restore refuses any other count as kDataLoss
+// rather than read a slot the record does not have.
+TEST(ChaseResumeTest, WrongBindingValueCountIsDataLoss) {
+  const Program program = CompanyControlProgram();
+  const std::vector<Fact> edb = ControlNetwork(5);
+  for (const bool derived : {true, false}) {
+    MemFs fs;
+    CheckpointedRun seed_run{&fs, "ckpt"};
+    ASSERT_TRUE(RunCheckpointed(program, edb, seed_run).ok());
+    // The config hash sits in the snapshot's header record: after the
+    // 8-byte magic, the record's length and CRC, its type and version.
+    const std::string file = fs.ReadFile("ckpt/snapshot.tpx").value();
+    uint64_t hash = 0;
+    for (int i = 7; i >= 0; --i) {
+      hash = hash << 8 | static_cast<unsigned char>(file[21 + i]);
+    }
+    CheckpointStore store(&fs, "ckpt");
+    ASSERT_TRUE(store.Open().ok());
+    Result<ChaseCheckpoint> loaded = store.Load(hash);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ChaseCheckpoint checkpoint = std::move(loaded).value();
+    // Load leaves symbol ids to the restoring graph; writing needs them.
+    const std::vector<std::string>& symbols = checkpoint.symbols;
+    for (ChaseNode& node : checkpoint.nodes) {
+      node.fact.pred_symbol = static_cast<Symbol>(
+          std::find(symbols.begin(), symbols.end(), node.fact.predicate) -
+          symbols.begin());
+    }
+    for (ChaseNode& node : checkpoint.nodes) {
+      if (node.is_extensional() == derived) continue;
+      if (derived) {
+        node.derivation.values.pop_back();
+      } else {
+        node.derivation.values.push_back(Value::Int(1));
+      }
+      break;
+    }
+    ASSERT_TRUE(store.WriteSnapshot(checkpoint).ok());
+
+    CheckpointedRun resumed{&fs, "ckpt"};
+    resumed.resume = true;
+    Result<ChaseResult> result = RunCheckpointed(program, edb, resumed);
+    ASSERT_FALSE(result.ok()) << "derived=" << derived;
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find("binding values"),
+              std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(ChaseResumeTest, ResumeWithEmptyDirectoryStartsFresh) {

@@ -404,7 +404,7 @@ TEST(ChaseTest, ProvenanceParentsInBodyOrder) {
   EXPECT_EQ(chase.graph.node(derivation.parents[0]).fact.predicate, "Shock");
   EXPECT_EQ(chase.graph.node(derivation.parents[1]).fact.predicate,
             "HasCapital");
-  EXPECT_EQ(derivation.rule_label, "alpha");
+  EXPECT_EQ(chase.graph.RuleLabel(derivation.rule_index), "alpha");
 }
 
 }  // namespace

@@ -190,55 +190,5 @@ TEST_F(FactStoreTest, NoCollisionsWithFullWidthKeys) {
   EXPECT_EQ(store_.position_index().collision_groups(), 0);
 }
 
-TEST(MatchAtomTest, ConstantMismatch) {
-  Atom atom("Risk", {Term::Variable("c"),
-                     Term::Constant(Value::String("long"))});
-  Fact fact{"Risk", {Value::String("C"), Value::String("short")}};
-  Binding binding;
-  EXPECT_FALSE(MatchAtom(atom, fact, &binding));
-}
-
-TEST(MatchAtomTest, BindsVariables) {
-  Atom atom("Own", {Term::Variable("x"), Term::Variable("y"),
-                    Term::Variable("s")});
-  Fact fact{"Own", {Value::String("A"), Value::String("B"),
-                    Value::Double(0.6)}};
-  Binding binding;
-  ASSERT_TRUE(MatchAtom(atom, fact, &binding));
-  EXPECT_EQ(*binding.Get("x"), Value::String("A"));
-  EXPECT_EQ(*binding.Get("s"), Value::Double(0.6));
-}
-
-TEST(MatchAtomTest, RepeatedVariableRequiresEqualArgs) {
-  Atom atom("Control", {Term::Variable("x"), Term::Variable("x")});
-  Binding binding;
-  EXPECT_TRUE(MatchAtom(
-      atom, Fact{"Control", {Value::String("A"), Value::String("A")}},
-      &binding));
-  Binding binding2;
-  EXPECT_FALSE(MatchAtom(
-      atom, Fact{"Control", {Value::String("A"), Value::String("B")}},
-      &binding2));
-}
-
-TEST(MatchAtomTest, PredicateAndArityChecked) {
-  Atom atom("P", {Term::Variable("x")});
-  Binding binding;
-  EXPECT_FALSE(MatchAtom(atom, Fact{"Q", {Value::Int(1)}}, &binding));
-  EXPECT_FALSE(
-      MatchAtom(atom, Fact{"P", {Value::Int(1), Value::Int(2)}}, &binding));
-}
-
-TEST(MatchAtomTest, HonorsExistingBinding) {
-  Atom atom("Own", {Term::Variable("x"), Term::Variable("y"),
-                    Term::Variable("s")});
-  Binding binding;
-  binding.Set("x", Value::String("Z"));
-  EXPECT_FALSE(MatchAtom(
-      atom,
-      Fact{"Own", {Value::String("A"), Value::String("B"), Value::Double(0.6)}},
-      &binding));
-}
-
 }  // namespace
 }  // namespace templex

@@ -45,9 +45,11 @@ uint64_t Fnv1a(const std::string& text) {
 // compare the graph and stats alone).
 std::string Dump(const ChaseResult& chase, bool counters) {
   std::ostringstream out;
-  auto describe = [&out](const Derivation& d) {
-    out << "|rule=" << d.rule_index << "/" << d.rule_label
-        << "|theta=" << d.binding.ToString() << "|parents=";
+  const ChaseGraph& graph = chase.graph;
+  auto describe = [&out, &graph](const Derivation& d) {
+    out << "|rule=" << d.rule_index << "/" << graph.RuleLabel(d.rule_index)
+        << "|theta=" << graph.BindingToString(d.rule_index, d.values)
+        << "|parents=";
     for (FactId parent : d.parents) out << parent << ",";
     out << "|contrib=";
     for (const AggregateContribution& c : d.contributions) {

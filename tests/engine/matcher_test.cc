@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datalog/parser.h"
 
 namespace templex {
@@ -42,10 +44,17 @@ class MatcherTest : public ::testing::Test {
     return window;
   }
 
-  // A BodyMatch outlived: its body slots materialized as a Binding.
+  // A BodyMatch outlived: its body slots copied, with their names.
   struct Match {
-    Binding binding;
+    std::vector<std::string> names;
+    std::vector<Value> slots;
     std::vector<FactId> facts;
+
+    const Value& Get(const std::string& name) const {
+      const auto it = std::find(names.begin(), names.end(), name);
+      EXPECT_NE(it, names.end()) << name;
+      return slots.at(static_cast<size_t>(it - names.begin()));
+    }
   };
 
   std::vector<Match> Enumerate(const Rule& rule, int delta_atom,
@@ -56,7 +65,8 @@ class MatcherTest : public ::testing::Test {
         plan, store_, graph_, Window(delta_atom, delta_begin, limit),
         [&matches, &plan](const BodyMatch& m) {
           Match copy;
-          copy.binding.AssignSlots(plan.slot_names, m.slots);
+          copy.names = plan.slot_names;
+          copy.slots.assign(m.slots, m.slots + plan.num_slots());
           copy.facts = m.facts;
           matches.push_back(std::move(copy));
           return Status::OK();
@@ -71,12 +81,14 @@ class MatcherTest : public ::testing::Test {
 
 TEST_F(MatcherTest, SingleAtomEnumeratesAllFacts) {
   Add({"P", {Value::Int(1)}});
+  Add({"Q", {Value::Int(3)}});                 // other predicate
+  Add({"P", {Value::Int(1), Value::Int(2)}});  // other arity
   Add({"P", {Value::Int(2)}});
   Rule rule = ParseRule("P(x) -> Q(x).").value();
   auto matches = Enumerate(rule, -1, 0, graph_.size());
   ASSERT_EQ(matches.size(), 2u);
-  EXPECT_EQ(*matches[0].binding.Get("x"), Value::Int(1));
-  EXPECT_EQ(*matches[1].binding.Get("x"), Value::Int(2));
+  EXPECT_EQ(matches[0].Get("x"), Value::Int(1));
+  EXPECT_EQ(matches[1].Get("x"), Value::Int(2));
 }
 
 TEST_F(MatcherTest, JoinOverSharedVariable) {
@@ -87,8 +99,8 @@ TEST_F(MatcherTest, JoinOverSharedVariable) {
       ParseRule("Own(a, b, s1), Own(b, c, s2) -> Indirect(a, c).").value();
   auto matches = Enumerate(rule, -1, 0, graph_.size());
   ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(*matches[0].binding.Get("a"), Value::String("A"));
-  EXPECT_EQ(*matches[0].binding.Get("c"), Value::String("C"));
+  EXPECT_EQ(matches[0].Get("a"), Value::String("A"));
+  EXPECT_EQ(matches[0].Get("c"), Value::String("C"));
   ASSERT_EQ(matches[0].facts.size(), 2u);
 }
 
@@ -108,7 +120,7 @@ TEST_F(MatcherTest, LimitExcludesNewerFacts) {
   Rule rule = ParseRule("P(x) -> Q(x).").value();
   auto matches = Enumerate(rule, -1, 0, limit);
   ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(*matches[0].binding.Get("x"), Value::Int(1));
+  EXPECT_EQ(matches[0].Get("x"), Value::Int(1));
 }
 
 TEST_F(MatcherTest, SemiNaiveDeltaCoversExactlyNewCombinations) {
@@ -130,8 +142,7 @@ TEST_F(MatcherTest, SemiNaiveDeltaCoversExactlyNewCombinations) {
   ASSERT_EQ(all.size(), 3u);
   int old_old = 0;
   for (const Match& m : all) {
-    if (*m.binding.Get("x") == Value::Int(1) &&
-        *m.binding.Get("y") == Value::Int(1)) {
+    if (m.Get("x") == Value::Int(1) && m.Get("y") == Value::Int(1)) {
       ++old_old;
     }
   }
@@ -159,7 +170,13 @@ TEST_F(MatcherTest, RepeatedVariableInAtom) {
   Rule rule = ParseRule("Edge(x, x) -> SelfLoop(x).").value();
   auto matches = Enumerate(rule, -1, 0, graph_.size());
   ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(*matches[0].binding.Get("x"), Value::Int(1));
+  EXPECT_EQ(matches[0].Get("x"), Value::Int(1));
+  EXPECT_EQ(matches[0].facts, std::vector<FactId>{0});
+  // A constant position rejects the fact whose argument differs.
+  Rule constant = ParseRule("Edge(x, 2) -> Out(x).").value();
+  matches = Enumerate(constant, -1, 0, graph_.size());
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].facts, std::vector<FactId>{1});
 }
 
 TEST_F(MatcherTest, DeterministicOrder) {
@@ -170,9 +187,9 @@ TEST_F(MatcherTest, DeterministicOrder) {
   auto matches = Enumerate(rule, -1, 0, graph_.size());
   ASSERT_EQ(matches.size(), 3u);
   // Fact-id (insertion) order, not value order.
-  EXPECT_EQ(*matches[0].binding.Get("x"), Value::Int(3));
-  EXPECT_EQ(*matches[1].binding.Get("x"), Value::Int(1));
-  EXPECT_EQ(*matches[2].binding.Get("x"), Value::Int(2));
+  EXPECT_EQ(matches[0].Get("x"), Value::Int(3));
+  EXPECT_EQ(matches[1].Get("x"), Value::Int(1));
+  EXPECT_EQ(matches[2].Get("x"), Value::Int(2));
 }
 
 }  // namespace

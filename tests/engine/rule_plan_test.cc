@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "datalog/parser.h"
 
 namespace templex {
@@ -13,10 +15,8 @@ Rule Parse(const std::string& text) {
   return std::move(rule).value();
 }
 
-// Slots must be assigned in first-occurrence order across the body atoms —
-// the exact order MatchAtom's Bind() appended variables, so a Binding
-// materialized from the slot array is byte-identical to the string-keyed
-// matcher's output.
+// Slots must be assigned in first-occurrence order across the body atoms:
+// stored derivations, checkpoints and explanations depend on the order.
 TEST(RulePlanTest, SlotsFollowFirstOccurrenceOrder) {
   Rule rule = Parse("Own(a, b, s1), Own(b, c, s2) -> Indirect(a, c).");
   RulePlan plan = MakeRulePlan(rule, 0);
@@ -94,9 +94,9 @@ TEST(RulePlanTest, LogicalPlanSplitsConditionsAroundAggregate) {
   EXPECT_TRUE(plan.explicit_contributor_keys);
 }
 
-// The apply side's slot layout is the entry order of the Binding the
-// string-keyed chase stored: body slots, assignment variables, the
-// aggregate result, then existential head variables.
+// The apply side's slot layout, which every stored derivation's values
+// follow: body slots, assignment variables, the aggregate result, then
+// existential head variables.
 TEST(RulePlanTest, BindingSlotsFollowTheStoredBindingOrder) {
   Rule rule = Parse(
       "IntOwn(x, z, s1), Own(z, y, s2), p = s1 * s2, ts = sum(p), "
@@ -128,9 +128,39 @@ TEST(RulePlanTest, BindingSlotsFollowTheStoredBindingOrder) {
   EXPECT_FALSE(plan.head.terms[4].binds);
 }
 
-// Compiled conditions and expressions agree with Expr::Eval /
-// Condition::Eval on the binding the slots stand for — results and error
-// texts alike.
+// A name-keyed reference evaluator of a few lines: variables looked up by
+// name in a map, the operator and comparison steps shared with the slot
+// evaluator.
+using NameBinding = std::map<std::string, Value>;
+
+Result<Value> EvalByName(const Expr& expr, const NameBinding& binding) {
+  if (expr.is_leaf()) {
+    if (expr.term().is_constant()) return expr.term().constant_value();
+    const auto it = binding.find(expr.term().variable_name());
+    if (it == binding.end()) {
+      return Status::InvalidArgument("unbound variable in expression: " +
+                                     expr.term().variable_name());
+    }
+    return it->second;
+  }
+  Result<Value> lhs = EvalByName(expr.lhs(), binding);
+  if (!lhs.ok()) return lhs.status();
+  Result<Value> rhs = EvalByName(expr.rhs(), binding);
+  if (!rhs.ok()) return rhs.status();
+  return ApplyArithmetic(expr, lhs.value(), rhs.value());
+}
+
+Result<bool> EvalByName(const Condition& condition,
+                        const NameBinding& binding) {
+  Result<Value> lhs = EvalByName(*condition.lhs, binding);
+  if (!lhs.ok()) return lhs.status();
+  Result<Value> rhs = EvalByName(*condition.rhs, binding);
+  if (!rhs.ok()) return rhs.status();
+  return ApplyComparison(condition, lhs.value(), rhs.value());
+}
+
+// Compiled conditions and expressions agree with the name-keyed reference
+// on the binding the slots stand for — results and error texts alike.
 TEST(RulePlanTest, SlotConditionsMatchBindingEvaluation) {
   Rule rule = Parse(
       "P(a, b, c), d = (a - b) / c, d > 1, a != c, b < c -> Q(a, d).");
@@ -149,9 +179,11 @@ TEST(RulePlanTest, SlotConditionsMatchBindingEvaluation) {
   for (const std::vector<Value>& body : cases) {
     std::vector<Value> slots(plan.num_binding_slots());
     std::copy(body.begin(), body.end(), slots.begin());
-    Binding binding;
-    binding.AssignSlots(plan.slot_names, slots.data());
-    Result<Value> want = rule.assignments[0].expr->Eval(binding);
+    NameBinding binding;
+    for (size_t i = 0; i < plan.slot_names.size(); ++i) {
+      binding[plan.slot_names[i]] = slots[i];
+    }
+    Result<Value> want = EvalByName(*rule.assignments[0].expr, binding);
     Result<Value> got = EvalSlotExpr(plan.assignments[0].expr, slots.data());
     ASSERT_EQ(got.ok(), want.ok());
     if (!want.ok()) {
@@ -160,9 +192,9 @@ TEST(RulePlanTest, SlotConditionsMatchBindingEvaluation) {
     }
     EXPECT_EQ(got.value().ToString(), want.value().ToString());
     slots[plan.assignments[0].slot] = want.value();
-    binding.Set("d", want.value());
+    binding["d"] = want.value();
     for (size_t i = 0; i < plan.pre_condition_plans.size(); ++i) {
-      Result<bool> w = plan.pre_conditions[i]->Eval(binding);
+      Result<bool> w = EvalByName(*plan.pre_conditions[i], binding);
       Result<bool> g =
           EvalSlotCondition(plan.pre_condition_plans[i], slots.data());
       ASSERT_EQ(g.ok(), w.ok());

@@ -24,9 +24,11 @@ namespace {
 std::vector<std::string> GraphSignature(const ChaseResult& chase) {
   std::vector<std::string> signature;
   signature.reserve(chase.graph.size());
-  auto describe = [](std::ostringstream& out, const Derivation& d) {
-    out << "|rule=" << d.rule_index << "/" << d.rule_label
-        << "|theta=" << d.binding.ToString() << "|parents=";
+  const ChaseGraph& graph = chase.graph;
+  auto describe = [&graph](std::ostringstream& out, const Derivation& d) {
+    out << "|rule=" << d.rule_index << "/" << graph.RuleLabel(d.rule_index)
+        << "|theta=" << graph.BindingToString(d.rule_index, d.values)
+        << "|parents=";
     for (FactId parent : d.parents) out << parent << ",";
   };
   for (FactId id = 0; id < chase.graph.size(); ++id) {

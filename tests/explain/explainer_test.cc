@@ -4,6 +4,7 @@
 
 #include "apps/glossaries.h"
 #include "apps/programs.h"
+#include "datalog/parser.h"
 #include "engine/chase.h"
 #include "llm/omission.h"
 #include "llm/simulated_llm.h"
@@ -196,6 +197,43 @@ TEST(ExplainerControlTest, AutoControlChainExplained) {
     EXPECT_NE(explanation.value().find(snippet), std::string::npos)
         << explanation.value();
   }
+}
+
+// A multi-contributor aggregation over a body assignment: each
+// contributor's assigned value is rebuilt from its own parent facts, so
+// <l> lists both losses instead of repeating the step's last one.
+TEST(ExplainerAggregateAssignmentTest, EachContributorShowsItsAssignment) {
+  Result<Program> program = ParseProgram(R"(
+@goal Default.
+alpha: Shock(f, s), HasCapital(f, p1), s > p1 -> Default(f).
+beta:  Default(d), Debts(d, c, v), l = v * 0.5, e = sum(l) -> Risk(c, e).
+gamma: HasCapital(c, p2), Risk(c, e), p2 < e -> Default(c).
+)");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  auto explainer = Explainer::Create(std::move(program).value(),
+                                     SimplifiedStressTestGlossary());
+  ASSERT_TRUE(explainer.ok()) << explainer.status().ToString();
+  std::vector<Fact> edb = {
+      {"Shock", {S("A"), I(6)}},         {"HasCapital", {S("A"), I(5)}},
+      {"Shock", {S("B"), I(9)}},         {"HasCapital", {S("B"), I(2)}},
+      {"HasCapital", {S("C"), I(5)}},    {"Debts", {S("A"), S("C"), I(4)}},
+      {"Debts", {S("B"), S("C"), I(8)}},
+  };
+  auto chase = ChaseEngine().Run(explainer.value()->program(), edb);
+  ASSERT_TRUE(chase.ok()) << chase.status().ToString();
+  auto explanation =
+      explainer.value()->Explain(chase.value(), {"Default", {S("C")}});
+  ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
+  EXPECT_EQ(explanation.value(),
+            "Since a shock amounting to 6M and 9M euros affects A and B, A "
+            "and B is a financial institution with capital of 5M and 2M "
+            "euros, and 6M and 9M is higher than 5M and 2M, A and B is in "
+            "default. As a result, C is at risk of defaulting given its loan "
+            "of 6M euros of exposures to a defaulted debtor, since A and B "
+            "has an amount of 4M and 8M euros of debts with C, 2M and 4M is "
+            "4M and 8M times 0.5M, and with 6M given by the sum of 2M and "
+            "4M. C is in default, because C is a financial institution with "
+            "capital of 5M euros, and 5M is lower than 6M.");
 }
 
 TEST(ExplainerCloseLinksTest, ProductChainExplained) {

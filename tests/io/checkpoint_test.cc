@@ -30,8 +30,7 @@ ChaseNode MakeNode(int pred_symbol, const char* predicate,
   node.derivation.rule_index = rule_index;
   node.derivation.parents = std::move(parents);
   if (rule_index >= 0) {
-    node.derivation.binding.Set("x", Value::String("acme"));
-    node.derivation.binding.Set("s", Value::Double(0.75));
+    node.derivation.values = {Value::String("acme"), Value::Double(0.75)};
   }
   return node;
 }
@@ -58,7 +57,7 @@ ChaseCheckpoint MakeCheckpoint() {
   derived.derivation.contributions.push_back(contribution);
   Derivation alt;
   alt.rule_index = 4;
-  alt.binding.Set("y", Value::Int(-12));
+  alt.values = {Value::Int(-12)};
   alt.parents = {1};
   contribution.input = Value::Int(-3);
   contribution.parents = {1, 0};
@@ -81,11 +80,11 @@ ChaseCheckpoint MakeCheckpoint() {
   return ckpt;
 }
 
-// Everything a checkpoint stores of a derivation (the rule label is
-// re-derived from the program at restore).
+// Everything a checkpoint stores of a derivation (the rule label and the
+// variable names are re-derived from the program at restore).
 void ExpectDerivationEq(const Derivation& got, const Derivation& want) {
   EXPECT_EQ(got.rule_index, want.rule_index);
-  EXPECT_EQ(got.binding.ToString(), want.binding.ToString());
+  EXPECT_EQ(got.values, want.values);
   EXPECT_EQ(got.parents, want.parents);
   ASSERT_EQ(got.contributions.size(), want.contributions.size());
   for (size_t c = 0; c < want.contributions.size(); ++c) {
@@ -253,7 +252,7 @@ TEST(CheckpointStoreTest, OtherFormatVersionIsRefused) {
   // and the load only fails later, on the missing symbol/footer records.
   const Status current = LoadHandBuilt(kCheckpointFormatVersion);
   EXPECT_EQ(current.code(), StatusCode::kDataLoss) << current.ToString();
-  for (uint32_t version : {2u, 3u, 4u, kCheckpointFormatVersion + 1}) {
+  for (uint32_t version : {2u, 3u, 4u, 5u, kCheckpointFormatVersion + 1}) {
     const Status status = LoadHandBuilt(version);
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
         << status.ToString();

@@ -626,7 +626,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(chase.stats.derived_facts),
               static_cast<long long>(chase.stats.rounds));
   for (const ConstraintViolation& violation : app.value()->violations()) {
-    std::printf("violation: %s\n", violation.ToString().c_str());
+    std::printf("violation: %s\n", violation.ToString(chase.graph).c_str());
   }
 
   if (print_templates) {
