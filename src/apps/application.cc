@@ -80,19 +80,20 @@ KnowledgeGraphApplication::WhatIf(const std::vector<Fact>& hypothetical,
         "baseline chase");
   }
   // Monotone programs extend the baseline incrementally (only the delta is
-  // re-derived); programs with negation fall back to a full re-chase.
-  Result<ChaseResult> result =
-      ChaseEngine(config).Extend(*chase_, explainer_->program(),
-                                 hypothetical);
-  if (!result.ok()) {
-    if (result.status().code() != StatusCode::kInvalidArgument) {
-      return result.status();
-    }
-    std::vector<Fact> facts = facts_;
-    facts.insert(facts.end(), hypothetical.begin(), hypothetical.end());
-    result = ChaseEngine(config).Run(explainer_->program(), facts);
-    if (!result.ok()) return result.status();
+  // re-derived); programs that Extend refuses, those with negation in a
+  // deriving rule, re-chase base plus hypothesis. Any other error is the
+  // what-if's own and is returned as is.
+  const Program& program = explainer_->program();
+  std::vector<Fact> rechased;
+  const bool rechase = HasDerivingNegation(program);
+  if (rechase) {
+    rechased = facts_;
+    rechased.insert(rechased.end(), hypothetical.begin(), hypothetical.end());
   }
+  Result<ChaseResult> result =
+      rechase ? ChaseEngine(config).Run(program, rechased)
+              : ChaseEngine(config).Extend(*chase_, program, hypothetical);
+  if (!result.ok()) return result.status();
   WhatIfResult scenario;
   scenario.chase = std::move(result).value();
   for (int id = 0; id < scenario.chase.graph.size(); ++id) {

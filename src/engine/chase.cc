@@ -12,7 +12,6 @@
 #include "common/timer.h"
 #include "common/watchdog.h"
 #include "engine/aggregate_state.h"
-#include "engine/fact_store.h"
 #include "engine/matcher.h"
 #include "engine/rule_plan.h"
 #include "engine/stratification.h"
@@ -108,7 +107,6 @@ class ChaseRun {
         event_log_(config.event_log),
         budget_(config.budget),
         watchdog_(config.watchdog),
-        store_(&result_.graph),
         aggregates_(static_cast<int>(program.rules().size())) {
     if (metrics_ != nullptr && budget_ != nullptr) {
       memory_bytes_gauge_ = metrics_->gauge("chase.memory.bytes");
@@ -153,8 +151,7 @@ class ChaseRun {
       for (const Fact& fact : edb) {
         ChaseNode node;
         node.fact = fact;
-        auto [id, inserted] = result_.graph.AddNode(std::move(node));
-        if (inserted) store_.OnNewFact(id);
+        result_.graph.AddNode(std::move(node));
       }
       result_.stats.initial_facts = result_.graph.size();
       CompilePlans();
@@ -209,30 +206,19 @@ class ChaseRun {
     }
     Result<std::vector<std::vector<int>>> strata = RuleStrata(program_);
     if (!strata.ok()) return strata.status();
-    // Negation in a deriving rule makes extension unsound: new facts can
-    // retract negation-as-failure conclusions already materialized in the
-    // base. (Negation inside constraints is fine — they are re-checked over
-    // the full extended instance.)
-    for (const Rule& rule : program_.rules()) {
-      if (!rule.is_constraint && !rule.negative_body.empty()) {
-        return Status::InvalidArgument(
-            "Extend: incremental extension is unsound for programs with "
-            "negation (new facts can retract negation-as-failure "
-            "conclusions); run the chase from scratch");
-      }
+    if (HasDerivingNegation(program_)) {
+      return Status::InvalidArgument(
+          "Extend: incremental extension is unsound for programs with "
+          "negation (new facts can retract negation-as-failure "
+          "conclusions); run the chase from scratch");
     }
     // Seed the run from the base result.
     {
       obs::Span seed_span(tracer_, "chase.extend.seed");
       seed_span.AddAttribute("base_facts",
                              static_cast<int64_t>(base.graph.size()));
-      // The base run's position index covers its graph unless the result
-      // was built by hand; copying it beats re-indexing every base fact.
-      const bool index_covers_base =
-          base.position_index != nullptr &&
-          base.position_index->indexed_facts() == base.graph.size();
+      // The base graph arrives with its position index.
       result_.graph = std::move(base.graph);
-      if (index_covers_base) store_.SeedPositionIndex(*base.position_index);
       result_.stats = base.stats;
       // chase.join.* of an extension count its own rule executions only.
       result_.stats.skipped_rules = 0;
@@ -241,7 +227,6 @@ class ChaseRun {
         aggregates_ = *base.aggregate_state;  // deep copy before mutating
       }
       for (FactId id = 0; id < result_.graph.size(); ++id) {
-        if (!index_covers_base) store_.OnNewFact(id);
         for (const Value& arg : result_.graph.node(id).fact.args) {
           if (arg.is_labeled_null()) {
             next_null_id_ =
@@ -255,11 +240,7 @@ class ChaseRun {
     for (const Fact& fact : additional) {
       ChaseNode node;
       node.fact = fact;
-      auto [id, inserted] = result_.graph.AddNode(std::move(node));
-      if (inserted) {
-        store_.OnNewFact(id);
-        ++added;
-      }
+      if (result_.graph.AddNode(std::move(node)).second) ++added;
     }
     result_.stats.initial_facts += added;
     extend_added_ = added;
@@ -314,7 +295,7 @@ class ChaseRun {
       MatchWindow window;
       window.limit = limit;
       TEMPLEX_RETURN_IF_ERROR(
-          EnumerateMatches(plan, store_, result_.graph, window, callback));
+          EnumerateMatches(plan, result_.graph, window, callback));
     }
     return Status::OK();
   }
@@ -407,12 +388,13 @@ class ChaseRun {
       // participate in the determinism tests.
       metrics_->counter("chase.index.predicates")
           ->Increment(static_cast<int64_t>(result_.graph.symbols().size()));
+      const PositionIndex& positions = result_.graph.position_index();
       metrics_->counter("chase.index.position_keys")
-          ->Increment(store_.position_index().position_keys());
+          ->Increment(positions.position_keys());
       metrics_->counter("chase.index.position_entries")
-          ->Increment(store_.position_index().position_entries());
+          ->Increment(positions.position_entries());
       metrics_->counter("chase.index.collision_groups")
-          ->Increment(store_.position_index().collision_groups());
+          ->Increment(positions.collision_groups());
       metrics_->counter("chase.join.skipped_rules")
           ->Increment(result_.stats.skipped_rules);
       metrics_->counter("chase.join.executed_rules")
@@ -446,9 +428,6 @@ class ChaseRun {
       }
       result_.metrics = metrics_->Snapshot();
     }
-    // The position index outlives the run for ChaseResult::Match.
-    result_.position_index =
-        std::make_shared<const PositionIndex>(store_.TakePositionIndex());
     return std::move(result_);
   }
 
@@ -668,7 +647,8 @@ class ChaseRun {
   // so the figure is byte-identical across checkpoint resume — which keeps
   // a budget sweep deterministic.
   int64_t FootprintBytes() const {
-    return result_.graph.approx_bytes() + store_.approx_bytes() +
+    return result_.graph.approx_bytes() +
+           result_.graph.position_index().approx_bytes() +
            aggregates_.approx_bytes();
   }
 
@@ -841,7 +821,6 @@ class ChaseRun {
         return Status::DataLoss("checkpoint: duplicate fact at id " +
                                 std::to_string(i));
       }
-      store_.OnNewFact(id);
     }
     for (const AggregateEntryRecord& entry : checkpoint.aggregates) {
       if (entry.rule_index < 0 ||
@@ -1062,38 +1041,9 @@ class ChaseRun {
       window.pivot_end = pass.end;
       window.pre_pivot_cap = pass.cap;
       TEMPLEX_RETURN_IF_ERROR(
-          EnumerateMatches(plan, store_, result_.graph, window, callback));
+          EnumerateMatches(plan, result_.graph, window, callback));
     }
     return Status::OK();
-  }
-
-  // Negation-as-failure: true iff no stored fact unifies with `atom` under
-  // the match's slots. Stratification guarantees the negated predicate is
-  // already saturated when this runs; validation guarantees every negated
-  // variable is body-bound, so each position compares against a constant
-  // or a slot.
-  bool NegatedAtomHolds(const AtomPlan& atom, const Value* slots) const {
-    const std::vector<FactId>& candidates = store_.CandidatesFor(atom, slots);
-    const size_t n = candidates.size();
-    for (size_t i = 0; i < n; ++i) {
-      const Fact& fact = result_.graph.node(candidates[i]).fact;
-      // Candidate lists are keyed by hashed position keys, so a collision
-      // can surface another predicate's facts.
-      if (fact.pred_symbol != atom.predicate || fact.arity() != atom.arity) {
-        continue;
-      }
-      bool matched = true;
-      for (int pos = 0; pos < atom.arity && matched; ++pos) {
-        const TermPlan& t = atom.terms[pos];
-        if (t.is_constant) {
-          matched = t.constant == fact.args[pos];
-        } else if (t.slot >= 0) {
-          matched = slots[t.slot] == fact.args[pos];
-        }
-      }
-      if (matched) return false;
-    }
-    return true;
   }
 
   // The filter on a body homomorphism: negation-as-failure, assignments
@@ -1102,8 +1052,11 @@ class ChaseRun {
   // match was filtered out.
   Status EvalMatch(const RulePlan& plan, Value* slots, bool* pass) const {
     *pass = false;
+    // Negation-as-failure: a negated atom holds iff no stored fact agrees
+    // with it. Stratification guarantees its predicate is already
+    // saturated; validation makes every one of its variables body-bound.
     for (const AtomPlan& atom : plan.negative_body) {
-      if (!NegatedAtomHolds(atom, slots)) return Status::OK();
+      if (AnyFactAgrees(result_.graph, atom, slots)) return Status::OK();
     }
     for (const SlotAssignment& a : plan.assignments) {
       Result<Value> v = EvalSlotExpr(a.expr, slots);
@@ -1183,34 +1136,6 @@ class ChaseRun {
     return EmitHead(plan, slots, facts, &group);
   }
 
-  // Existential reuse (restricted-chase style): true iff some stored fact
-  // of the head predicate agrees with the head atom on every position the
-  // body binds — then no new fact (with fresh nulls) is invented. Probes
-  // the position index on the bound positions.
-  bool HeadAlreadySatisfied(const RulePlan& plan, const Value* slots) const {
-    const AtomPlan& head = plan.head;
-    const std::vector<FactId>& candidates = store_.CandidatesFor(head, slots);
-    const size_t n = candidates.size();
-    for (size_t i = 0; i < n; ++i) {
-      const Fact& existing = result_.graph.node(candidates[i]).fact;
-      if (existing.pred_symbol != head.predicate ||
-          existing.arity() != head.arity) {
-        continue;
-      }
-      bool agrees = true;
-      for (int pos = 0; pos < head.arity && agrees; ++pos) {
-        const TermPlan& t = head.terms[pos];
-        if (t.is_constant) {
-          agrees = t.constant == existing.args[pos];
-        } else if (t.bound_at_entry) {
-          agrees = slots[t.slot] == existing.args[pos];
-        }
-      }
-      if (agrees) return true;
-    }
-    return false;
-  }
-
   // Instantiates the head over the slots and adds it unless present. The
   // chase graph is probed once; the node's binding values, parents and
   // contributions are materialized only for a new fact (and, for a
@@ -1222,7 +1147,11 @@ class ChaseRun {
                   const AggregateState::GroupRef* group) {
     std::optional<ScopedTimer> phase_timer;
     if (metrics_ != nullptr) phase_timer.emplace(&head_seconds_);
-    if (plan.has_existentials() && HeadAlreadySatisfied(plan, slots)) {
+    // Existential reuse (restricted-chase style): when some stored fact
+    // agrees with the head on every position the body binds, no new fact
+    // (with fresh nulls) is invented.
+    if (plan.has_existentials() &&
+        AnyFactAgrees(result_.graph, plan.head, slots)) {
       return Status::OK();
     }
     Fact fact;
@@ -1266,8 +1195,7 @@ class ChaseRun {
     node.fact = std::move(fact);
     BuildDerivation(plan, slots, DerivationParents(facts, group), group,
                     &node.derivation);
-    const FactId id = result_.graph.Insert(std::move(node), hash);
-    store_.OnNewFact(id);
+    result_.graph.Insert(std::move(node), hash);
     if (plan.firings_counter != nullptr) plan.firings_counter->Increment();
     if (profile != nullptr) ++profile->firings;
     return Status::OK();
@@ -1392,7 +1320,6 @@ class ChaseRun {
   obs::Counter* memory_pressure_counter_ = nullptr;
   obs::Counter* memory_degrade_counter_ = nullptr;
   ChaseResult result_;
-  FactStore store_;
   AggregateState aggregates_;
   std::vector<RulePlan> plans_;
   int64_t next_null_id_ = 1;
@@ -1474,21 +1401,11 @@ std::vector<Fact> ChaseResult::FactsOf(const std::string& predicate) const {
 std::vector<Fact> ChaseResult::Match(const Fact& pattern) const {
   std::vector<Fact> answers;
   const Symbol predicate = graph.symbols().Lookup(pattern.predicate);
-  if (predicate == kInvalidSymbol) return answers;
-  const std::vector<FactId>* candidates = &graph.FactsOf(predicate);
-  if (position_index != nullptr &&
-      position_index->indexed_facts() == graph.size()) {
-    for (int pos = 0; pos < pattern.arity(); ++pos) {
-      if (pattern.args[pos].is_null()) continue;
-      const std::vector<FactId>* bucket =
-          position_index->Find(predicate, pos, pattern.args[pos]);
-      if (bucket == nullptr) return answers;  // no fact can match
-      if (bucket->size() < candidates->size()) candidates = bucket;
-    }
-  }
   // Buckets may merge predicates, positions and values (PosKey
   // collisions), so every candidate is checked in full.
-  for (FactId id : *candidates) {
+  for (FactId id : graph.Candidates(predicate, pattern.arity(), [&](int pos) {
+         return pattern.args[pos].is_null() ? nullptr : &pattern.args[pos];
+       })) {
     const Fact& fact = graph.node(id).fact;
     if (fact.pred_symbol != predicate || fact.arity() != pattern.arity()) {
       continue;
@@ -1520,6 +1437,13 @@ Result<ChaseResult> ChaseEngine::Extend(
   Result<ChaseResult> result = run.Extend(std::move(base), additional);
   if (!result.ok()) RecordFailure(config_, result.status());
   return result;
+}
+
+bool HasDerivingNegation(const Program& program) {
+  for (const Rule& rule : program.rules()) {
+    if (!rule.is_constraint && !rule.negative_body.empty()) return true;
+  }
+  return false;
 }
 
 size_t ProgramFingerprint(const Program& program) {

@@ -18,7 +18,6 @@ namespace templex {
 class AggregateState;  // engine/aggregate_state.h
 class Fs;              // common/fs.h
 class MemoryBudget;    // common/memory.h
-class PositionIndex;   // engine/position_index.h
 class StallWatchdog;   // common/watchdog.h
 
 namespace obs {
@@ -50,7 +49,9 @@ struct ChaseConfig {
   // holds exactly max_facts facts completes.
   int64_t max_facts = 5000000;
   // When false, every round re-evaluates all rules over the whole database
-  // (naive evaluation); used by the ablation benchmarks.
+  // (naive evaluation): the oracle the semi-naive path is tested against
+  // (chase_test's NaiveOracle* cases, alternatives_test), and the
+  // ablation benchmarks' baseline.
   bool semi_naive = true;
   // How many alternative derivations to keep per fact (0 disables the
   // feature). Only acyclic re-derivations through a different rule or
@@ -208,11 +209,6 @@ struct ChaseResult {
   // Fingerprint of the program that produced this result; Extend refuses a
   // mismatch.
   size_t program_fingerprint = 0;
-  // The run's (predicate, position, value) index over `graph`, handed over
-  // by the chase when it returns (Run, Extend, --resume and the QSQR
-  // restricted chase alike) so Match answers bound lookups without a scan.
-  // Immutable and shared on copy; null for hand-built results.
-  std::shared_ptr<const PositionIndex> position_index;
 
   // Id of a fact in the saturated instance, or NotFound.
   Result<FactId> Find(const Fact& fact) const;
@@ -223,10 +219,9 @@ struct ChaseResult {
   // All facts matching `pattern`: same predicate and arity, and equal to
   // every non-Null argument (Null arguments are wildcards; Int(2) matches
   // Double(2.0), as Value::operator== does). Ascending by fact id. A
-  // pattern with a bound argument costs the smallest position-index bucket
-  // among its bound positions; a pattern without one costs the facts of
-  // its predicate. Falls back to that scan when `position_index` is null or
-  // does not cover the whole graph.
+  // pattern with a bound argument costs the smallest bucket of the graph's
+  // position index among its bound positions; a pattern without one costs
+  // the facts of its predicate (ChaseGraph::Candidates).
   std::vector<Fact> Match(const Fact& pattern) const;
 };
 
@@ -256,6 +251,12 @@ class ChaseEngine {
  private:
   ChaseConfig config_;
 };
+
+// True iff some deriving rule of `program` (not a constraint) has a negated
+// atom. ChaseEngine::Extend refuses such a program — new facts can retract
+// negation-as-failure conclusions of the base — so a what-if over it
+// re-chases from scratch instead.
+bool HasDerivingNegation(const Program& program);
 
 // Fingerprint used to tie a ChaseResult to its program (exposed for tests).
 size_t ProgramFingerprint(const Program& program);

@@ -96,6 +96,7 @@ FactId ChaseGraph::Insert(ChaseNode node, size_t hash) {
   }
   levels_.push_back(level);
   nodes_.push_back(std::move(node));
+  positions_.Add(id, nodes_.back().fact);
   return id;
 }
 

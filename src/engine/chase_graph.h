@@ -11,6 +11,7 @@
 #include "common/flat_index.h"
 #include "datalog/symbol.h"
 #include "engine/fact.h"
+#include "engine/position_index.h"
 
 namespace templex {
 
@@ -92,10 +93,12 @@ int64_t ApproxBytes(const ChaseNode& node);
 //
 // The graph owns the run's SymbolTable: AddNode interns each fact's
 // predicate and stamps Fact::pred_symbol, and maintains a dense
-// per-predicate id index, so the engine's hot paths (matching, candidate
-// indexing, existential reuse, pattern queries) operate on ints and O(1)
-// lookups while the stored strings keep every report and explanation
-// byte-identical.
+// per-predicate id index and the (predicate, position, value) index, so
+// the engine's hot paths (matching, existential reuse, negation, pattern
+// queries) operate on ints and O(1) lookups while the stored strings keep
+// every report and explanation byte-identical. Both indexes are part of
+// the graph: every node is indexed as its id is assigned, and a copy or a
+// move of the graph carries them along.
 class ChaseGraph {
  public:
   ChaseGraph() = default;
@@ -146,6 +149,41 @@ class ChaseGraph {
   const std::vector<FactId>& FactsOf(const std::string& predicate) const;
   const std::vector<FactId>& FactsOf(Symbol predicate) const;
 
+  // The one candidate selector of the engine: the ids of the facts that
+  // can match an atom over `predicate` with `arity` positions, where
+  // `probe(pos)` returns the value position `pos` is fixed to, or nullptr
+  // when it is free. The smallest position-index bucket among the fixed
+  // positions; none when some fixed value was never indexed there; the
+  // predicate's whole list when no position is fixed. Ascending by id, and
+  // a superset (buckets can merge values, positions and predicates), so
+  // callers check every candidate in full. A template so the matcher's
+  // per-position probe inlines into its hot loop.
+  template <typename Probe>
+  const std::vector<FactId>& Candidates(Symbol predicate, int arity,
+                                        Probe probe) const {
+    if (predicate == kInvalidSymbol) return empty_;
+    const std::vector<FactId>* best = nullptr;
+    for (int pos = 0; pos < arity; ++pos) {
+      const Value* value = probe(pos);
+      if (value == nullptr) continue;
+      const std::vector<FactId>* ids = positions_.Find(predicate, pos, *value);
+      if (ids == nullptr) return empty_;  // no fact can match
+      if (best == nullptr || ids->size() < best->size()) best = ids;
+    }
+    return best != nullptr ? *best : FactsOf(predicate);
+  }
+
+  // The (predicate, position, value) index over every node; its shape is
+  // exported as the chase.index.* counters and its footprint is charged
+  // to the chase's memory budget next to approx_bytes().
+  const PositionIndex& position_index() const { return positions_; }
+
+  // Narrows the position index's keys so tests can force bucket merges.
+  // Call before the first AddNode.
+  void set_position_key_mask_for_testing(uint64_t mask) {
+    positions_.set_position_key_mask_for_testing(mask);
+  }
+
   // The graph's predicate/constant interner. Mutable access lets the chase
   // intern rule predicates when compiling match plans against this graph.
   const SymbolTable& symbols() const { return symbols_; }
@@ -175,11 +213,13 @@ class ChaseGraph {
   // graph if goal == kInvalidFactId). Edges are labelled with rule labels.
   std::string ToDot(FactId goal = kInvalidFactId) const;
 
-  // Content-based footprint of the graph (nodes + a fixed per-node index
-  // overhead), maintained incrementally by AddNode. Mutations that bypass
-  // AddNode (recording an alternative through mutable_node) account their
-  // growth via AddApproxBytes. Deterministic across checkpoint resume —
-  // see common/memory.h.
+  // Content-based footprint of the graph's nodes plus a fixed per-node
+  // dedup and per-predicate index overhead, maintained incrementally by
+  // AddNode; the position index reports its own
+  // (position_index().approx_bytes()). Mutations that bypass AddNode
+  // (recording an alternative through mutable_node) account their growth
+  // via AddApproxBytes. Deterministic across checkpoint resume — see
+  // common/memory.h.
   int64_t approx_bytes() const { return approx_bytes_; }
   void AddApproxBytes(int64_t bytes) { approx_bytes_ += bytes; }
 
@@ -198,6 +238,7 @@ class ChaseGraph {
   // when a new predicate appears must not move existing lists — FactsOf
   // references are held across insertions by the match enumerator.
   std::deque<std::vector<FactId>> by_predicate_;
+  PositionIndex positions_;
   std::vector<FactId> empty_;
   std::shared_ptr<const RuleTable> rules_;
   int64_t approx_bytes_ = 0;

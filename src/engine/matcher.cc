@@ -6,11 +6,10 @@ namespace {
 
 class MatchEnumerator {
  public:
-  MatchEnumerator(const RulePlan& plan, const FactStore& store,
-                  const ChaseGraph& graph, const MatchWindow& window,
+  MatchEnumerator(const RulePlan& plan, const ChaseGraph& graph,
+                  const MatchWindow& window,
                   const std::function<Status(const BodyMatch&)>& callback)
       : plan_(plan),
-        store_(store),
         graph_(graph),
         window_(window),
         callback_(callback),
@@ -63,7 +62,7 @@ class MatchEnumerator {
     }
     const AtomPlan& atom = plan_.body[atom_index];
     const std::vector<FactId>& candidates =
-        store_.CandidatesFor(atom, slots_.data());
+        AtomCandidates(graph_, atom, slots_.data());
     // Facts emitted by the enclosing chase round are appended to the index
     // vectors while we iterate: use index-based access over a size snapshot
     // (the appended ids are >= limit and age-filtered out regardless).
@@ -80,7 +79,6 @@ class MatchEnumerator {
   }
 
   const RulePlan& plan_;
-  const FactStore& store_;
   const ChaseGraph& graph_;
   const MatchWindow window_;
   const std::function<Status(const BodyMatch&)>& callback_;
@@ -98,11 +96,32 @@ class MatchEnumerator {
 }  // namespace
 
 Status EnumerateMatches(
-    const RulePlan& plan, const FactStore& store, const ChaseGraph& graph,
-    const MatchWindow& window,
+    const RulePlan& plan, const ChaseGraph& graph, const MatchWindow& window,
     const std::function<Status(const BodyMatch&)>& callback) {
-  MatchEnumerator enumerator(plan, store, graph, window, callback);
+  MatchEnumerator enumerator(plan, graph, window, callback);
   return enumerator.Run();
+}
+
+bool AnyFactAgrees(const ChaseGraph& graph, const AtomPlan& atom,
+                   const Value* slots) {
+  for (FactId id : AtomCandidates(graph, atom, slots)) {
+    const Fact& fact = graph.node(id).fact;
+    // Buckets can merge predicates (PosKey collisions).
+    if (fact.pred_symbol != atom.predicate || fact.arity() != atom.arity) {
+      continue;
+    }
+    bool agrees = true;
+    for (int pos = 0; pos < atom.arity && agrees; ++pos) {
+      const TermPlan& t = atom.terms[pos];
+      if (t.is_constant) {
+        agrees = t.constant == fact.args[pos];
+      } else if (t.bound_at_entry) {
+        agrees = slots[t.slot] == fact.args[pos];
+      }
+    }
+    if (agrees) return true;
+  }
+  return false;
 }
 
 }  // namespace templex

@@ -5,7 +5,7 @@
 
 #include "common/status.h"
 #include "datalog/rule.h"
-#include "engine/fact_store.h"
+#include "engine/chase_graph.h"
 #include "engine/rule_plan.h"
 
 namespace templex {
@@ -58,12 +58,36 @@ struct MatchWindow {
 // with no variable name in sight. Slot order is first-occurrence order
 // across body atoms (RulePlan::slot_names).
 //
-// Read-only over `store` and `graph`.
+// Read-only over `graph`.
 //
 // Stops and propagates the first non-OK status returned by the callback.
-Status EnumerateMatches(const RulePlan& plan, const FactStore& store,
-                        const ChaseGraph& graph, const MatchWindow& window,
+Status EnumerateMatches(const RulePlan& plan, const ChaseGraph& graph,
+                        const MatchWindow& window,
                         const std::function<Status(const BodyMatch&)>& callback);
+
+// The facts of `graph` that can match `atom` under the per-slot values
+// `slots` (ChaseGraph::Candidates): the positions probed are exactly those
+// bound at entry — constants always, variables iff an earlier body atom
+// first bound them (TermPlan::bound_at_entry) — so no bound flags travel
+// with the slots. Candidates still need a full check.
+inline const std::vector<FactId>& AtomCandidates(const ChaseGraph& graph,
+                                                 const AtomPlan& atom,
+                                                 const Value* slots) {
+  return graph.Candidates(atom.predicate, atom.arity,
+                          [&atom, slots](int pos) -> const Value* {
+                            const TermPlan& t = atom.terms[pos];
+                            if (!t.bound_at_entry) return nullptr;
+                            return t.is_constant ? &t.constant
+                                                 : &slots[t.slot];
+                          });
+}
+
+// True iff some fact of `graph` agrees with `atom` on every position bound
+// at entry (the other positions are free). Negation-as-failure asks it of a
+// negated atom, whose variables are all bound; existential reuse asks it
+// of a rule's head.
+bool AnyFactAgrees(const ChaseGraph& graph, const AtomPlan& atom,
+                   const Value* slots);
 
 }  // namespace templex
 

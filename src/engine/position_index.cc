@@ -37,7 +37,6 @@ void PositionIndex::Add(FactId id, const Fact& fact) {
       bytes_ += static_cast<int64_t>(sizeof(FactId));
     }
   }
-  ++indexed_facts_;
 }
 
 int64_t PositionIndex::position_entries() const {

@@ -13,17 +13,18 @@
 
 namespace templex {
 
-// Facts per (predicate, argument position, value): the secondary index the
-// chase's body matcher probes (through FactStore) and, once the run ends,
-// the index ChaseResult::Match answers bound point lookups from. It holds
-// fact ids only — never graph pointers — so it survives the move of the
-// graph it indexes into a ChaseResult.
+// Facts per (predicate, argument position, value): the secondary index a
+// ChaseGraph keeps over its nodes (ChaseGraph::position_index), which the
+// graph's candidate selector (ChaseGraph::Candidates) probes for the body
+// matcher, negation, existential reuse, the relevance pass and
+// ChaseResult::Match. It holds fact ids only — never graph pointers — so
+// it copies and moves with the graph that owns it.
 //
 // Keyed by a packed 64-bit hash of (pred_symbol, position, value hash) — no
 // string ever touches a probe. One bucket per distinct key, found through a
 // FlatIndex (common/flat_index.h) over the bucket list. Buckets live in a
 // deque and never move once created: the sequential chase round holds a
-// bucket's id list (a CandidatesFor result) while ApplyHead adds facts,
+// bucket's id list (a Candidates result) while ProcessMatch adds facts,
 // and so new buckets. Hash collisions can merge two value groups
 // into one bucket; that is sound (and preserves ascending-id order) because
 // every reader still verifies each candidate against the full pattern.
@@ -33,10 +34,9 @@ namespace templex {
 // in it.
 class PositionIndex {
  public:
-  // Indexes every argument of `fact`, whose graph id is `id`. Must be
-  // called exactly once per graph node, in id order, after the graph
-  // assigned the fact's pred_symbol: that is what keeps every bucket
-  // ascending by id.
+  // Indexes every argument of `fact`, whose graph id is `id`. The owning
+  // graph calls it exactly once per node, in id order, as it assigns the
+  // id and pred_symbol: that is what keeps every bucket ascending by id.
   void Add(FactId id, const Fact& fact);
 
   // Ids of the facts whose argument `position` may equal `value` under
@@ -48,10 +48,6 @@ class PositionIndex {
         FindBucket(PosKey(predicate, position, value.Hash()));
     return bucket < 0 ? nullptr : &buckets_[static_cast<size_t>(bucket)].ids;
   }
-
-  // Number of facts added so far. ChaseResult::Match only trusts the index
-  // while this equals the graph size.
-  int64_t indexed_facts() const { return indexed_facts_; }
 
   // Index shape, exported as chase.index.* counters at the end of a run.
   int64_t position_keys() const {
@@ -103,7 +99,6 @@ class PositionIndex {
 
   std::deque<PosBucket> buckets_;  // in creation order
   FlatIndex by_key_;               // PosKey -> index into buckets_
-  int64_t indexed_facts_ = 0;
   int64_t collision_groups_ = 0;
   int64_t bytes_ = 0;
   uint64_t poskey_mask_ = ~uint64_t{0};

@@ -14,7 +14,7 @@
 #include "common/timer.h"
 #include "common/watchdog.h"
 #include "engine/aggregate_state.h"
-#include "engine/fact_store.h"
+#include "engine/chase_graph.h"
 #include "engine/rule_plan.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -135,12 +135,11 @@ class RelevancePass {
  public:
   RelevancePass(const Program& program, const std::vector<Fact>& edb,
                 const ChaseConfig& config, QueryStats* stats)
-      : config_(config), stats_(stats), store_(&graph_) {
+      : config_(config), stats_(stats) {
     for (const Fact& fact : edb) {
       ChaseNode node;
       node.fact = fact;
-      auto [id, inserted] = graph_.AddNode(std::move(node));
-      if (inserted) store_.OnNewFact(id);
+      graph_.AddNode(std::move(node));
     }
     relevant_.assign(static_cast<size_t>(graph_.size()), 0);
     for (const Rule& rule : program.rules()) {
@@ -245,26 +244,6 @@ class RelevancePass {
 
   void MarkRelevant(FactId id) { relevant_[static_cast<size_t>(id)] = 1; }
 
-  // EDB facts that can match a `predicate` atom whose positions `probe`
-  // fixes (probe(i) returns the value, or nullptr for a free position):
-  // the smallest position bucket, else every fact of the predicate.
-  // Candidates still need a full check.
-  template <typename Probe>
-  const std::vector<FactId>& Candidates(Symbol predicate, int arity,
-                                        Probe probe) const {
-    if (predicate == kInvalidSymbol) return no_facts_;
-    const std::vector<FactId>* best = nullptr;
-    for (int i = 0; i < arity; ++i) {
-      const Value* value = probe(i);
-      if (value == nullptr) continue;
-      const std::vector<FactId>* ids =
-          store_.position_index().Find(predicate, i, *value);
-      if (ids == nullptr) return no_facts_;
-      if (best == nullptr || ids->size() < best->size()) best = ids;
-    }
-    return best != nullptr ? *best : graph_.FactsOf(predicate);
-  }
-
   // Finds or creates the table for (idb, pattern); returns its index. A
   // new table marks the EDB facts matching its pattern relevant.
   int32_t Intern(int idb, Symbol symbol, const std::vector<Value>& pattern) {
@@ -291,7 +270,7 @@ class RelevancePass {
       }
     }
     const int arity = static_cast<int>(pattern.size());
-    for (FactId id : Candidates(symbol, arity, [&](int i) {
+    for (FactId id : graph_.Candidates(symbol, arity, [&](int i) {
            return pattern[i].is_null() ? nullptr : &pattern[i];
          })) {
       const Fact& fact = graph_.node(id).fact;
@@ -392,10 +371,12 @@ class RelevancePass {
     return term.is_constant ? &term.constant : &values_[term.slot];
   }
 
+  // EDB facts that can match `atom` with the frame's fixed positions
+  // probed. Candidates still need a full check.
   const std::vector<FactId>& Candidates(const AtomPlan& atom,
                                         const Frame& frame) const {
-    return Candidates(atom.predicate, atom.arity,
-                      [&](int i) { return Fixed(atom, frame, i); });
+    return graph_.Candidates(atom.predicate, atom.arity,
+                             [&](int i) { return Fixed(atom, frame, i); });
   }
 
   // Interns the subquery an IDB atom poses: fixed positions bound.
@@ -686,8 +667,6 @@ class RelevancePass {
   QueryStats* stats_;
 
   ChaseGraph graph_;  // the deduplicated EDB, in insertion order
-  FactStore store_;
-  const std::vector<FactId> no_facts_;
   std::vector<char> relevant_;
 
   std::map<std::string, int> idb_;  // IDB predicate -> dense index

@@ -8,6 +8,7 @@
 #include "apps/programs.h"
 #include "apps/scenario.h"
 #include "datalog/parser.h"
+#include "obs/event_log.h"
 
 namespace templex {
 namespace {
@@ -117,6 +118,45 @@ n: Company(x), not Bank(x) -> NonBank(x).
   EXPECT_FALSE(
       hypothesis.value().chase.Find({"NonBank", {S("A")}}).ok());
   EXPECT_TRUE(hypothesis.value().chase.Find({"NonBank", {S("B")}}).ok());
+}
+
+TEST(WhatIfTest, FailingHypothesisOnMonotoneProgramDoesNotRechase) {
+  // The program has no negation, so the what-if extends the baseline; a
+  // hypothesis that breaks the rule's arithmetic fails that extension, and
+  // re-chasing base plus hypothesis would only fail again.
+  Result<Program> program = ParseProgram(R"(
+@goal Pct.
+p: Own(x, y, s), t = s * 100 -> Pct(x, y, t).
+)");
+  ASSERT_TRUE(program.ok());
+  DomainGlossary glossary;
+  ASSERT_TRUE(glossary
+                  .Register("Own", {"<x> owns <s> of <y>", {"x", "y", "s"},
+                                    {}})
+                  .ok());
+  ASSERT_TRUE(glossary
+                  .Register("Pct", {"<x> owns <t>% of <y>", {"x", "y", "t"},
+                                    {}})
+                  .ok());
+  auto app = KnowledgeGraphApplication::Create(std::move(program).value(),
+                                               std::move(glossary));
+  ASSERT_TRUE(app.ok()) << app.status().ToString();
+  app.value()->AddFacts({{"Own", {S("A"), S("B"), Value::Double(0.5)}}});
+  ASSERT_TRUE(app.value()->Run().ok());
+
+  obs::EventLog log;
+  ChaseConfig config;
+  config.event_log = &log;
+  auto hypothesis =
+      app.value()->WhatIf({{"Own", {S("A"), S("C"), S("lots")}}}, config);
+  EXPECT_EQ(hypothesis.status().code(), StatusCode::kInvalidArgument);
+  bool extended = false;
+  for (const obs::Event& event : log.RecentEvents()) {
+    if (event.name == "extend.start") extended = true;
+    EXPECT_FALSE(extended && event.name == "run.start")
+        << "the failed what-if re-chased";
+  }
+  EXPECT_TRUE(extended);
 }
 
 }  // namespace

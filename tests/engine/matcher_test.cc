@@ -11,14 +11,10 @@ namespace {
 
 class MatcherTest : public ::testing::Test {
  protected:
-  MatcherTest() : store_(&graph_) {}
-
   FactId Add(const Fact& fact) {
     ChaseNode node;
     node.fact = fact;
-    auto [id, inserted] = graph_.AddNode(std::move(node));
-    if (inserted) store_.OnNewFact(id);
-    return id;
+    return graph_.AddNode(std::move(node)).first;
   }
 
   // Compiles a throwaway plan against the graph's symbol table
@@ -62,7 +58,7 @@ class MatcherTest : public ::testing::Test {
     std::vector<Match> matches;
     const RulePlan plan = Plan(rule);
     Status status = EnumerateMatches(
-        plan, store_, graph_, Window(delta_atom, delta_begin, limit),
+        plan, graph_, Window(delta_atom, delta_begin, limit),
         [&matches, &plan](const BodyMatch& m) {
           Match copy;
           copy.names = plan.slot_names;
@@ -76,7 +72,6 @@ class MatcherTest : public ::testing::Test {
   }
 
   ChaseGraph graph_;
-  FactStore store_;
 };
 
 TEST_F(MatcherTest, SingleAtomEnumeratesAllFacts) {
@@ -155,7 +150,7 @@ TEST_F(MatcherTest, CallbackErrorStopsEnumeration) {
   Rule rule = ParseRule("P(x) -> Q(x).").value();
   int calls = 0;
   Status status = EnumerateMatches(
-      Plan(rule), store_, graph_, Window(-1, 0, graph_.size()),
+      Plan(rule), graph_, Window(-1, 0, graph_.size()),
       [&calls](const BodyMatch&) {
         ++calls;
         return Status::Internal("stop");
